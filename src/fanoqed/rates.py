@@ -141,10 +141,16 @@ def rate_sweep(p: SystemParams, eps_range: tuple[float, float], n: int) -> RateS
 
     The grid is uniform over eps_range with n >= 2 points; each row is
     computed by the single-point operations on a parameter copy with the
-    cavity moved to the requested reduced detuning.
+    cavity moved to the requested reduced detuning.  For kappa < gamma, which
+    holds along the whole sweep, W is the -lambda_minus branch and one
+    RegimeWarning is emitted, as in :func:`transition_rate`.
     """
     if n < 2:
         raise ValueError(f"need at least 2 sweep points, got {n}")
+    if p.kappa < p.gamma:
+        warnings.warn(
+            "kappa < gamma: transition rates taken from the -lambda_minus branch",
+            RegimeWarning, stacklevel=2)
     eps = np.linspace(eps_range[0], eps_range[1], n)
     w_full = np.empty(n)
     w_weak = np.empty(n)

@@ -12,7 +12,11 @@ initially excited emitter.
 pole algebra: two-time correlators come from numerically propagated
 regression factors C(tau) and numerically integrated single-time moments,
 and the filter integral is done by composite Gauss-Legendre panels that are
-refined until converged.
+refined until converged.  The tau sum is evaluated in factored form: the
+correlator kernels fold into one complex weight per node, and the node
+lattice tau = (kk*n_r + r) h + o_j splits each phase e^{i nu tau} into three
+short factors, so that the sum over r is a matrix product per block of
+frequencies.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .params import SystemParams, derive_couplings
-from .rates import rate_coefficients
+from .rates import CoarseRateSystem, rate_coefficients
 from .dynamics import coarse_grained_solution, adiabatic_polarization, evolve_triple
 
 __all__ = [
@@ -44,6 +48,9 @@ __all__ = [
 ]
 
 COMPONENTS = ("21", "c", "F")
+# size of the (frequencies x panel blocks x nodes) temporary in _oracle_total,
+# in elements: the frequency grid is evaluated in blocks of about this size
+ORACLE_BLOCK_ELEMENTS = 1 << 20
 
 
 class DivergentMomentsError(RuntimeError):
@@ -51,7 +58,18 @@ class DivergentMomentsError(RuntimeError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Oracle quadrature did not reach the requested relative tolerance."""
+    """Oracle quadrature did not reach the requested relative tolerance.
+
+    ``achieved`` is the relative L2 change of the last panel doubling and
+    ``rel_tol`` the tolerance it exceeded.
+    """
+
+    def __init__(self, achieved: float, rel_tol: float):
+        super().__init__(
+            f"tau quadrature did not converge: relative change {achieved:.3e} "
+            f"> {rel_tol:.1e} after panel doubling")
+        self.achieved = achieved
+        self.rel_tol = rel_tol
 
 
 @dataclass(frozen=True)
@@ -118,6 +136,15 @@ def regression_matrix(p: SystemParams) -> np.ndarray:
         [-1j * np.conj(g) - 0.5 * np.conj(dc.gamma_f), -1j * p.omega_c - 0.5 * p.kappa]])
 
 
+def _check_decaying(p: SystemParams, cs: CoarseRateSystem) -> None:
+    """Raise DivergentMomentsError unless the coarse evolution decays."""
+    # exact antiresonance lands at lambda_plus = 0 up to rounding; both signs occur
+    if cs.lambda_plus >= -1e-12 * (p.gamma + p.kappa):
+        raise DivergentMomentsError(
+            f"coarse evolution is non-decaying (lambda_plus = {cs.lambda_plus:.3e}); "
+            "time-integrated moments diverge")
+
+
 def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMoments:
     """Time-integrated moments of the initially excited emitter.
 
@@ -129,11 +156,7 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
     """
     dc = derive_couplings(p)
     cs = rate_coefficients(dc, p)
-    # exact antiresonance lands at lambda_plus = 0 up to rounding; both signs occur
-    if cs.lambda_plus >= -1e-12 * (p.gamma + p.kappa):
-        raise DivergentMomentsError(
-            f"coarse evolution is non-decaying (lambda_plus = {cs.lambda_plus:.3e}); "
-            "time-integrated moments diverge")
+    _check_decaying(p, cs)
     if source == "coarse":
         det = cs.lambda_plus * cs.lambda_minus
         i_e = (cs.r_pm + p.kappa) / det
@@ -282,13 +305,21 @@ def _log_panel_quadrature(t_end: float, fast_rate: float, n_per: int = 24,
 def _oracle_moments(p: SystemParams) -> IntegratedMoments:
     """Moments by numerical quadrature of the coarse-grained time curves."""
     cs = rate_coefficients(derive_couplings(p), p)
-    if cs.lambda_plus >= -1e-12 * (p.gamma + p.kappa):
-        raise DivergentMomentsError("non-decaying coarse evolution")
+    _check_decaying(p, cs)
     t, w = _log_panel_quadrature(40.0 / abs(cs.lambda_plus), p.gamma + p.kappa)
     n_e, n_c = coarse_grained_solution(p, t)
     pol = adiabatic_polarization(p, n_e, n_c)
     return IntegratedMoments(i_e=float(w @ n_e), i_c=float(w @ n_c),
                              i_p=complex(w @ pol))
+
+
+def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
+    """e^0 .. e^(n-1) of a 2x2 matrix, by doubling."""
+    out = np.eye(2, dtype=complex)[None]
+    while len(out) < n:
+        out = np.concatenate([out, out @ e])
+        e = e @ e
+    return out[:n]
 
 
 def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
@@ -297,43 +328,40 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     dc = derive_couplings(p)
     mat = regression_matrix(p)
     # slowest decay of C(tau) from an independent eigensolver, not the closed form
-    slow = float(np.linalg.eigvals(mat).real.max())
-    decay = 0.5 * ds - min(slow, 0.0) * 0.5
-    tau_max = 38.0 / decay
+    tau_max = 38.0 / (0.5 * ds - min(np.linalg.eigvals(mat).real.max(), 0.0) * 0.5)
     f_max = (np.abs(nu_abs).max() + max(abs(p.omega21), abs(p.omega_c))
              + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * ds)
     h = phase_per_panel / f_max
     n_pan = int(math.ceil(tau_max / h))
     x, w_gl = np.polynomial.legendre.leggauss(10)
-    # C at panel starts by cumulative products of one per-panel exponential
-    e_h = expm(mat * h)
-    c_start = np.empty((n_pan, 2, 2), complex)
-    c_start[0] = np.eye(2)
-    for k in range(1, n_pan):
-        c_start[k] = c_start[k - 1] @ e_h
-    e_off = np.stack([expm(mat * (0.5 * h * (xx + 1.0))) for xx in x])
-    tau = (np.arange(n_pan)[:, None] * h + 0.5 * h * (x + 1.0)).ravel()
-    wts = np.tile(0.5 * h * w_gl, n_pan)
-    c_nodes = np.einsum("kab,jbc->kjac", c_start, e_off).reshape(-1, 2, 2)
-
-    # correlator kernels: regression factor times the integrated single-time
-    # moments (the trajectory-time integral, reduced exactly by t - tau -> s)
-    k_21 = c_nodes[:, 0, 0] * m.i_e + c_nodes[:, 0, 1] * m.i_p
-    k_c = c_nodes[:, 1, 0] * np.conj(m.i_p) + c_nodes[:, 1, 1] * m.i_c
-    k_f1 = c_nodes[:, 1, 0] * m.i_e + c_nodes[:, 1, 1] * m.i_p
-    k_f2 = c_nodes[:, 0, 0] * np.conj(m.i_p) + c_nodes[:, 0, 1] * m.i_c
-    damp = np.exp(-0.5 * ds * tau) * wts
-    a21, ac = k_21 * damp, k_c * damp
-    af1, af2 = k_f1 * damp, k_f2 * damp
-    gf, gfc = dc.gamma_f, np.conj(dc.gamma_f)
-    out = np.empty(len(nu_abs))
-    for i, nu in enumerate(nu_abs):
-        ph = np.exp(1j * nu * tau)
-        out[i] = ((p.gamma / math.pi) * np.dot(a21, ph).real
-                  + (p.kappa / math.pi) * np.dot(ac, ph).real
-                  + (1.0 / math.pi) * (gf * np.dot(af1, ph)
-                                       + gfc * np.dot(af2, ph)).real)
-    return out
+    off = 0.5 * h * (x + 1.0)
+    # panel k = kk*n_r + r: e^{-ds tau/2} C(tau) = A_kk B_r O_j on the node
+    # tau = k h + o_j, with A and B powers of one per-panel exponential
+    n_r = math.isqrt(n_pan - 1) + 1
+    n_kk = -(-n_pan // n_r)
+    damped = mat - 0.5 * ds * np.eye(2)
+    b_r = _matrix_powers(expm(damped * h), n_r + 1)
+    a_kk = _matrix_powers(b_r[n_r], n_kk)
+    # correlator kernels: C(tau) times the integrated moments (the trajectory-time
+    # integral, reduced exactly by t - tau -> s); V weights them by the emitter and
+    # cavity rates and, on swapped rows, by the interference rate gamma_f
+    mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
+    gf = np.array([[np.conj(dc.gamma_f)], [dc.gamma_f]])
+    v = (np.array([[p.gamma], [p.kappa]]) * mom + gf * mom[::-1]) / math.pi
+    # W = w_j sum_ab (A_kk B_r O_j)_ab V_ab = sum_ad A_kk[a, d] (q_j B_r^T)[a, d]
+    q = np.stack([w * v @ expm(damped * o).T for o, w in zip(off, 0.5 * h * w_gl)])
+    qb = q[None] @ b_r[:n_r].transpose(0, 2, 1)[:, None]
+    wgt = (qb.reshape(-1, 4) @ a_kk.reshape(-1, 4).T).reshape(n_r, -1)  # columns (j, kk)
+    wgt[n_pan - (n_kk - 1) * n_r:, n_kk - 1::n_kk] = 0.0  # nodes past the last panel
+    # e^{i nu tau} = e^{i nu kk n_r h} e^{i nu r h} e^{i nu o_j}: one matrix
+    # product over r per block of frequencies, then the sums over kk and j
+    out = []
+    n_blocks = 1 + len(nu_abs) * wgt.shape[1] // ORACLE_BLOCK_ELEMENTS
+    for nu in np.array_split(nu_abs[:, None], n_blocks):
+        t = (np.exp(1j * h * nu * np.arange(n_r)) @ wgt).reshape(len(nu), -1, n_kk)
+        t = np.einsum("fjk,fk->fj", t, np.exp(1j * h * n_r * nu * np.arange(n_kk)))
+        out.append((t * np.exp(1j * nu * off)).sum(axis=1).real)
+    return np.concatenate(out)
 
 
 def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
@@ -347,7 +375,23 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     quadrature of the time curves, and the filter integral over tau by
     composite Gauss-Legendre panels.  The panel density is doubled until the
     result moves by less than rel_tol in relative L2; non-convergence raises
-    QuadratureConvergenceError carrying the achieved estimate.
+    QuadratureConvergenceError, whose ``achieved`` and ``rel_tol`` attributes
+    carry the achieved estimate and the tolerance.
+
+    The nodes are tau = k h + o_j (panel k of width h, Gauss-Legendre offset
+    o_j).  The four correlator kernels, the filter damping e^{-ds tau/2} and
+    the quadrature weights fold into one complex weight W[k, j] = sum_ab
+    C_ab(tau) V_ab, with V built from gamma, kappa, gamma_f and the moments,
+    so S(nu) = Re sum W e^{i nu tau}.  Writing k = kk*n_r + r with n_r about
+    sqrt(#panels), the damped factor e^{-ds tau/2} C(tau) is A_kk B_r O_j,
+    where B_r and A_kk are powers of the per-panel exponential and of its
+    n_r-th power, each built by doubling, and the phase is e^{i nu kk n_r h}
+    e^{i nu r h} e^{i nu o_j}.  Per block of frequencies the sum over r is
+    then one complex matrix product and the sums over kk and j are small
+    contractions, so each frequency costs n_r + #kk + 10 exponentials instead
+    of one per node.  Uniform and non-uniform grids take the same path; the
+    blocks keep the (frequencies x kk x nodes) temporary near
+    ORACLE_BLOCK_ELEMENTS elements.
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """
@@ -358,7 +402,5 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     scale = np.linalg.norm(fine)
     achieved = np.linalg.norm(fine - coarse) / scale if scale > 0 else 0.0
     if achieved > rel_tol:
-        raise QuadratureConvergenceError(
-            f"tau quadrature did not converge: relative change {achieved:.3e} "
-            f"> {rel_tol:.1e} after panel doubling")
+        raise QuadratureConvergenceError(float(achieved), rel_tol)
     return float(fine[0]) if np.isscalar(nu) else fine

@@ -163,6 +163,16 @@ def test_slow_branch_warning_below_kappa_gamma():
     assert w == -cs.lambda_minus
 
 
+def test_rate_sweep_warns_below_kappa_gamma():
+    p = SystemParams(gamma=5.0, kappa=1.0, g_abs=0.3, eta=0.5)
+    with pytest.warns(RegimeWarning) as record:
+        table = rate_sweep(p, (-10.0, 10.0), 5)
+    assert len(record) == 1
+    with pytest.warns(RegimeWarning):
+        expect = [transition_rate(p.with_reduced_detuning(float(e))) for e in table.eps]
+    assert table.w_full.tolist() == expect
+
+
 def test_rate_sweep_symmetry_and_asymmetry():
     table0 = rate_sweep(SystemParams(eta=0.0), (-200.0, 200.0), 401)
     assert np.allclose(table0.w_full, table0.w_full[::-1], rtol=1e-10)

@@ -306,6 +306,27 @@ def test_oracle_matches_closed_form_detuned():
     assert np.linalg.norm(oracle - closed) <= 1e-3 * np.linalg.norm(closed)
 
 
+def test_oracle_pinned_values():
+    # oracle output recorded on one uniform and one non-uniform grid: a
+    # reordering of the tau sum may move it only by rounding, which the 1e-3
+    # bound against the closed form would not catch
+    cases = [
+        (detuned(gamma_ph=30.0), np.linspace(-1050.0, 4210.0, 11), [
+            6.290803707626204e-07, 8.203001480636119e-07, 5.243302003375694e-07,
+            1.5991875391586235e-06, 2.504313198791224e-06, 4.447366721062198e-06,
+            9.971220036502519e-06, 3.9377149601826125e-05, 0.008888315017950862,
+            4.095376738692141e-05, 1.0172791089426336e-05]),
+        (SystemParams(g_abs=0.0, eta=0.0),
+         np.array([-300.0, -40.0, -12.0, 0.0, 7.5, 25.0, 180.0]), [
+            3.5416635721855326e-05, 0.0018765395096473321, 0.013051322911720566,
+            0.031751609594393264, 0.0203575367498057, 0.004398420206726196,
+            9.818484477552454e-05]),
+    ]
+    for p, nu, pinned in cases:
+        got = spectrum_quadrature_oracle(p, nu, DS)
+        assert np.abs(got - pinned).max() <= 1e-11 * np.abs(pinned).max()
+
+
 def test_oracle_integrated_weight_is_one():
     p = SystemParams(gamma_ph=30.0).with_reduced_detuning(0.0)
     nu = np.linspace(-4000.0, 4000.0, 2001)
@@ -320,6 +341,8 @@ def test_oracle_reports_non_convergence():
         spectrum_quadrature_oracle(p, np.linspace(-200.0, 200.0, 11), DS,
                                    rel_tol=0.0)
     assert "relative change" in str(err.value)
+    assert err.value.rel_tol == 0.0
+    assert err.value.achieved > err.value.rel_tol
 
 
 def test_oracle_scalar_input():
