@@ -331,7 +331,6 @@ def _validate_checks(cfg: RunConfig):
         cs = rate_coefficients(derive_couplings(p), p)
         s_ref = -(p.gamma + p.kappa + cs.r_pm + cs.r_mp)
         p_ref = (cs.r_pm + p.kappa) * (cs.r_mp + p.gamma) - cs.r_pp * cs.r_mm
-        scale = max(abs(s_ref), abs(p_ref), 1e-300)
         worst = max(worst,
                     abs(cs.lambda_plus + cs.lambda_minus - s_ref) / max(abs(s_ref), 1e-30),
                     abs(cs.lambda_plus * cs.lambda_minus - p_ref) / max(abs(p_ref), 1e-30))

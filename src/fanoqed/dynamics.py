@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm, schur, solve_sylvester
 
+# scipy is imported inside the functions that call it: `import fanoqed` stays
+# cheap for the commands that never propagate
 from .params import SystemParams, derive_couplings
 from .rates import rate_coefficients
 
@@ -274,6 +274,8 @@ def _slow_modes(a: np.ndarray):
     carries the eps*||A|| error that the split is there to remove.  k = 0
     gives empty arrays.
     """
+    from scipy.linalg import schur, solve_sylvester
+
     n = len(a)
     cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
     t, z, k = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)
@@ -314,6 +316,8 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
     against two half hops, which bounds the local error of the exponential
     itself.
     """
+    from scipy.linalg import expm
+
     gaps = np.diff(t)
     dts, hop_index = np.unique(gaps, return_inverse=True)
     steps = np.append(dts, dts[-1] / 2.0)[:, None, None]   # + half largest gap
@@ -367,6 +371,8 @@ def _propagate(a, y0, t, method, rtol, atol, dt):
                     "radau": "Radau"}.get(method)
     if scipy_method is None:
         raise ValueError(f"unknown integration method {method!r}")
+    from scipy.integrate import solve_ivp
+
     kwargs = {"jac": a} if scipy_method == "Radau" else {}
     sol = solve_ivp(lambda _t, y: a @ y, (t[0], t[-1]), y0, t_eval=t,
                     rtol=rtol, atol=atol, method=scipy_method, **kwargs)

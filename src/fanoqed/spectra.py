@@ -13,10 +13,10 @@ pole algebra: two-time correlators come from numerically propagated
 regression factors C(tau) and numerically integrated single-time moments,
 and the filter integral is done by composite Gauss-Legendre panels that are
 refined until converged.  The tau sum is evaluated in factored form: the
-correlator kernels fold into one complex weight per node, and the node
-lattice tau = (kk*n_r + r) h + o_j splits each phase e^{i nu tau} into three
-short factors, so that the sum over r is a matrix product per block of
-frequencies.
+correlator kernels fold into one complex weight per node, the node lattice
+tau = (kk*n_r + r) h + o_j splits each phase e^{i nu tau} into three short
+factors, and since that weight has rank 4 between kk and (r, j), the sum
+over each index runs on its own, one 2x2 factor per index and frequency.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .params import SystemParams, derive_couplings
 from .rates import CoarseRateSystem, rate_coefficients
@@ -48,8 +47,8 @@ __all__ = [
 ]
 
 COMPONENTS = ("21", "c", "F")
-# size of the (frequencies x panel blocks x nodes) temporary in _oracle_total,
-# in elements: the frequency grid is evaluated in blocks of about this size
+# size of the (frequencies x (n_r + n_kk)) phase tables in _oracle_total, in
+# elements: the frequency grid is evaluated in blocks of about this size
 ORACLE_BLOCK_ELEMENTS = 1 << 20
 
 
@@ -325,6 +324,8 @@ def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
 def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
                   m: IntegratedMoments, phase_per_panel: float) -> np.ndarray:
     """Total spectrum from regression factors and panel quadrature in tau."""
+    from scipy.linalg import expm
+
     dc = derive_couplings(p)
     mat = regression_matrix(p)
     # slowest decay of C(tau) from an independent eigensolver, not the closed form
@@ -348,19 +349,27 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
     gf = np.array([[np.conj(dc.gamma_f)], [dc.gamma_f]])
     v = (np.array([[p.gamma], [p.kappa]]) * mom + gf * mom[::-1]) / math.pi
-    # W = w_j sum_ab (A_kk B_r O_j)_ab V_ab = sum_ad A_kk[a, d] (q_j B_r^T)[a, d]
+    # W = w_j sum_ab (A_kk B_r O_j)_ab V_ab = sum_ad A_kk[a, d] (q_j B_r^T)[a, d] has
+    # rank 4 between kk and (r, j), so S(nu) = Re sum_acd P_A[a, d] Q[a, c] P_B[d, c]
+    # with P_A = sum_kk e^{i nu kk n_r h} A_kk, P_B = sum_r e^{i nu r h} B_r and
+    # Q = sum_j e^{i nu o_j} q_j.  The last kk block has only rem panels, so P_A over
+    # all kk meets the head r < rem of P_B, and P_A without that block meets its tail
     q = np.stack([w * v @ expm(damped * o).T for o, w in zip(off, 0.5 * h * w_gl)])
-    qb = q[None] @ b_r[:n_r].transpose(0, 2, 1)[:, None]
-    wgt = (qb.reshape(-1, 4) @ a_kk.reshape(-1, 4).T).reshape(n_r, -1)  # columns (j, kk)
-    wgt[n_pan - (n_kk - 1) * n_r:, n_kk - 1::n_kk] = 0.0  # nodes past the last panel
-    # e^{i nu tau} = e^{i nu kk n_r h} e^{i nu r h} e^{i nu o_j}: one matrix
-    # product over r per block of frequencies, then the sums over kk and j
+    q, b, a = (np.ascontiguousarray(x.reshape(len(x), 4).T) for x in (q, b_r[:n_r], a_kk))
+    rem = n_pan - (n_kk - 1) * n_r
     out = []
-    n_blocks = 1 + len(nu_abs) * wgt.shape[1] // ORACLE_BLOCK_ELEMENTS
+    n_blocks = 1 + len(nu_abs) * (n_r + n_kk) // ORACLE_BLOCK_ELEMENTS
     for nu in np.array_split(nu_abs[:, None], n_blocks):
-        t = (np.exp(1j * h * nu * np.arange(n_r)) @ wgt).reshape(len(nu), -1, n_kk)
-        t = np.einsum("fjk,fk->fj", t, np.exp(1j * h * n_r * nu * np.arange(n_kk)))
-        out.append((t * np.exp(1j * nu * off)).sum(axis=1).real)
+        # einsum sums each factor in its own loops, never in a threaded BLAS product
+        e_r = np.exp(1j * h * nu * np.arange(n_r))
+        e_kk = np.exp(1j * h * n_r * nu * np.arange(n_kk))
+        qf = np.einsum("fj,xj->fx", np.exp(1j * nu * off), q).reshape(-1, 2, 2)
+        head, tail = (np.einsum("fr,xr->fx", e_r[:, s], b[:, s]).reshape(-1, 2, 2)
+                      for s in (np.s_[:rem], np.s_[rem:]))
+        front = np.einsum("fk,xk->fx", e_kk[:, :-1], a[:, :-1]).reshape(-1, 2, 2)
+        full = front + e_kk[:, -1:, None] * a[:, -1].reshape(2, 2)
+        out.append((np.einsum("fac,fad,fdc->f", qf, full, head)
+                    + np.einsum("fac,fad,fdc->f", qf, front, tail)).real)
     return np.concatenate(out)
 
 
@@ -386,12 +395,17 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     sqrt(#panels), the damped factor e^{-ds tau/2} C(tau) is A_kk B_r O_j,
     where B_r and A_kk are powers of the per-panel exponential and of its
     n_r-th power, each built by doubling, and the phase is e^{i nu kk n_r h}
-    e^{i nu r h} e^{i nu o_j}.  Per block of frequencies the sum over r is
-    then one complex matrix product and the sums over kk and j are small
-    contractions, so each frequency costs n_r + #kk + 10 exponentials instead
-    of one per node.  Uniform and non-uniform grids take the same path; the
-    blocks keep the (frequencies x kk x nodes) temporary near
-    ORACLE_BLOCK_ELEMENTS elements.
+    e^{i nu r h} e^{i nu o_j}.  With q_j = w_j V O_j^T the weight is
+    sum_ad A_kk[a, d] (q_j B_r^T)[a, d], of rank 4 between kk and (r, j), so
+    S(nu) = Re sum_acd P_A[a, d] Q[a, c] P_B[d, c] with the 2x2 factors
+    P_A = sum_kk e^{i nu kk n_r h} A_kk, P_B = sum_r e^{i nu r h} B_r and
+    Q = sum_j e^{i nu o_j} q_j; the last, partial kk block pairs with the
+    part of P_B over its own panels.  Each frequency costs n_r + #kk + 10
+    exponentials and about 4 (n_r + #kk) multiply-adds instead of one of
+    each per node, and no sum is a BLAS product, whose threads on a small
+    machine make the timing slow and erratic.  Uniform and non-uniform grids
+    take the same path; the blocks keep the (frequencies x (n_r + #kk))
+    phase tables near ORACLE_BLOCK_ELEMENTS elements.
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +32,18 @@ def read_csv(path):
         else:
             rows.append([float(v) for v in line.split(",")])
     return comments, header, np.array(rows), footer
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy.linalg and scipy.integrate load only inside the functions that
+    # propagate or run the oracle, which keeps every fanoqed start short
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, fanoqed.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_round_trip(tmp_path):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from fanoqed import (SystemParams, derive_couplings, rate_coefficients,
                      spectral_poles, regression_matrix, integrated_moments,
                      spectrum_component, component_integral, total_spectrum,
                      default_frequency_grid, spectrum_quadrature_oracle,
                      DivergentMomentsError, QuadratureConvergenceError)
-from fanoqed.spectra import _f_coefficients
+from fanoqed.spectra import _f_coefficients, _oracle_moments, _oracle_total
 from conftest import random_valid_params
 
 DS = 20.0
@@ -325,6 +326,37 @@ def test_oracle_pinned_values():
     for p, nu, pinned in cases:
         got = spectrum_quadrature_oracle(p, nu, DS)
         assert np.abs(got - pinned).max() <= 1e-11 * np.abs(pinned).max()
+
+
+def test_oracle_total_matches_direct_node_sum():
+    # one pass of the factored tau sum against a sum over every node with its
+    # own matrix exponential, on a set where all four correlator kernels are
+    # non-zero and the panel count is not a multiple of the block length
+    p = SystemParams(eta=0.6, gamma_ph=5.0, g_abs=25.0, gamma=2.0,
+                     theta_c=0.7).with_detuning(50.0)
+    nu_abs = np.linspace(-120.0, 120.0, 25) + p.omega21
+    m = _oracle_moments(p)
+    got = _oracle_total(p, nu_abs, DS, m, phase_per_panel=0.9)
+    # the oracle's node set: 10-point Gauss-Legendre panels of width h
+    dc = derive_couplings(p)
+    mat = regression_matrix(p)
+    tau_max = 38.0 / (0.5 * DS - min(np.linalg.eigvals(mat).real.max(), 0.0) * 0.5)
+    f_max = (np.abs(nu_abs).max() + max(abs(p.omega21), abs(p.omega_c))
+             + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * DS)
+    h = 0.9 / f_max
+    n_pan = math.ceil(tau_max / h)
+    assert 1000 <= n_pan <= 2000 and n_pan % (math.isqrt(n_pan - 1) + 1)
+    x, w = np.polynomial.legendre.leggauss(10)
+    tau = (h * np.arange(n_pan)[:, None] + 0.5 * h * (x + 1.0)).ravel()
+    weight = np.tile(0.5 * h * w, n_pan)
+    # kernel weights of C_ab(tau): emitter, cavity and both interference terms
+    gf, i_pc = dc.gamma_f, np.conj(m.i_p)
+    v = np.array([[p.gamma * m.i_e + np.conj(gf) * i_pc, p.gamma * m.i_p + np.conj(gf) * m.i_c],
+                  [p.kappa * i_pc + gf * m.i_e, p.kappa * m.i_c + gf * m.i_p]]) / math.pi
+    assert np.abs(v).min() > 1e-3 * np.abs(v).max()
+    c = expm((mat - 0.5 * DS * np.eye(2)) * tau[:, None, None])
+    direct = (np.exp(1j * np.outer(nu_abs, tau)) @ (weight * np.einsum("nab,ab->n", c, v))).real
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 def test_oracle_integrated_weight_is_one():
