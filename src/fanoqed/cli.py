@@ -8,12 +8,13 @@ Subcommands
     validate      seeded randomized invariant suite -> report on stdout
 
 All physics parameters come from a single JSON config file (flags only select
-output path, worker count, seed, and the fixed-step integrator); energies are
-in ueV, angles in radians, times in 1/ueV.  CSV output is deterministic:
-17-significant-digit values, comma delimiter, LF line endings, and a comment
-header carrying the full parameter snapshot.
+output path and seed); energies are in ueV, angles in radians, times in
+1/ueV.  CSV output is deterministic: 17-significant-digit values, comma
+delimiter, LF line endings, and a comment header carrying the full parameter
+snapshot.
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
+Exit codes: 0 success, 1 validation failure, 2 config error (including a
+value the library's own input checks reject), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +55,8 @@ _SECTION_KEYS = {
     "map": ("detuning_start", "detuning_stop", "count"),
     "validate": ("draws", "inject_eta"),
 }
-_TOP_KEYS = ("command", "out", "seed", "workers", "fixed_step",
-             "fixed_step_dt", "params") + tuple(_SECTION_KEYS)
+# smallest count each section's grid accepts
+_MIN_COUNT = {"sweep": 1, "dynamics": 2, "spectrum": 2, "map": 1}
 
 
 class ConfigError(ValueError):
@@ -71,9 +71,6 @@ class RunConfig:
     command: str | None = None
     out: str | None = None
     seed: int = 12345
-    workers: int = 1
-    fixed_step: bool = False
-    fixed_step_dt: float = 1e-4
     sweep: dict = field(default_factory=lambda: {
         "variable": "eps", "start": -300.0, "stop": 300.0, "count": 801})
     dynamics: dict = field(default_factory=lambda: {"t_max": 0.5, "count": 2001})
@@ -84,20 +81,15 @@ class RunConfig:
     validate: dict = field(default_factory=lambda: {"draws": 200, "inject_eta": None})
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "out": self.out,
-            "seed": self.seed,
-            "workers": self.workers,
-            "fixed_step": self.fixed_step,
-            "fixed_step_dt": self.fixed_step_dt,
-            "params": dataclasses.asdict(self.params),
-            "sweep": dict(self.sweep),
-            "dynamics": dict(self.dynamics),
-            "spectrum": dict(self.spectrum),
-            "map": dict(self.map),
-            "validate": dict(self.validate),
-        }
+        return dataclasses.asdict(self)
+
+
+_TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+
+
+def _is_number(val, typ) -> bool:
+    """isinstance(val, typ), without taking JSON true/false for a number."""
+    return isinstance(val, typ) and not isinstance(val, bool)
 
 
 def _from_dict(doc: dict) -> RunConfig:
@@ -132,19 +124,19 @@ def _from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"'{key}' must be a string")
     cfg.command = doc.get("command", cfg.command)
     cfg.out = doc.get("out", cfg.out)
-    for key, typ in (("seed", int), ("workers", int),
-                     ("fixed_step", bool), ("fixed_step_dt", float)):
-        if key in doc:
-            val = doc[key]
-            if typ is float and isinstance(val, int) and not isinstance(val, bool):
-                val = float(val)
-            if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
-                raise ConfigError(f"'{key}' must be {typ.__name__}")
-            setattr(cfg, key, val)
+    if "seed" in doc:
+        if not _is_number(doc["seed"], int):
+            raise ConfigError("'seed' must be int")
+        cfg.seed = doc["seed"]
     if cfg.sweep["variable"] != "eps":
         raise ConfigError(f"unsupported sweep variable {cfg.sweep['variable']!r}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    for section, lo in _MIN_COUNT.items():
+        count = getattr(cfg, section)["count"]
+        if not _is_number(count, int) or count < lo:
+            raise ConfigError(f"{section}.count must be an integer >= {lo}, got {count!r}")
+    t_max = cfg.dynamics["t_max"]
+    if not _is_number(t_max, (int, float)) or not 0 < t_max < math.inf:
+        raise ConfigError(f"dynamics.t_max must be a finite number > 0, got {t_max!r}")
     return cfg
 
 
@@ -187,28 +179,17 @@ def _snapshot(cfg: RunConfig) -> list[str]:
     lines = ["params: " + " ".join(f"{k}={_fmt(v)}" for k, v in p.items()),
              f"units: energies ueV, time 1/ueV (1 time unit = {_fmt(HBAR_UEV_PS)} ps)",
              f"seed: {cfg.seed}",
-             f"integrator: {'rk4-fixed dt=' + _fmt(cfg.fixed_step_dt) if cfg.fixed_step else 'expm'}"]
+             "integrator: expm"]
     return lines
 
 
 def cmd_rate_sweep(cfg: RunConfig) -> int:
     """Transition-rate profile W(eps) with weak-coupling and reference columns."""
     sw = cfg.sweep
-    if int(sw["count"]) == 1:
-        # degenerate request: one grid point, evaluated by the same operations
-        p1 = cfg.params.with_reduced_detuning(float(sw["start"]))
-        dc = derive_couplings(p1)
-        eps = np.array([float(sw["start"])])
-        w_full = np.array([transition_rate(p1)])
-        w_weak = np.array([transition_rate_weak(p1)])
-        w_fano = np.array([fano_formula(dc.q, dc.eps, p1.gamma)])
-    else:
-        table = rate_sweep(cfg.params, (float(sw["start"]), float(sw["stop"])),
-                           int(sw["count"]))
-        eps, w_full, w_weak, w_fano = (table.eps, table.w_full,
-                                       table.w_weak, table.w_fano)
+    table = rate_sweep(cfg.params, (float(sw["start"]), float(sw["stop"])),
+                       int(sw["count"]))
     rows = [(float(e), float(e * cfg.params.kappa / 2.0), float(wf), float(ww), float(wn))
-            for e, wf, ww, wn in zip(eps, w_full, w_weak, w_fano)]
+            for e, wf, ww, wn in zip(table.eps, table.w_full, table.w_weak, table.w_fano)]
     _write_csv(cfg.out, _snapshot(cfg) + ["detuning_ueV = omega21 - omega_c"],
                ["eps", "detuning_ueV", "W_full", "W_weak", "W_fano_abs"], rows)
     return EXIT_OK
@@ -219,8 +200,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     dy = cfg.dynamics
     t = np.linspace(0.0, float(dy["t_max"]), int(dy["count"]))
     p = cfg.params
-    method = "fixed" if cfg.fixed_step else "expm"
-    traj = evolve_triple(p, t_grid=t, method=method, dt=cfg.fixed_step_dt)
+    traj = evolve_triple(p, t_grid=t)
     n_e_c, n_c_c = coarse_grained_solution(p, t)
     w = transition_rate(p)
     rows = [(float(t[i]), float(traj.n_e[i]), float(traj.n_c[i]),
@@ -252,15 +232,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _map_row(args) -> tuple:
-    """One detuning row of the spectrum map (top level for process pools)."""
-    pdict, detuning, nu, ds = args
-    p = SystemParams(**pdict).with_detuning(detuning)
+def _map_row(p: SystemParams, nu: np.ndarray, ds: float) -> tuple:
+    """(S_total on nu, lambda_plus) for one detuning row of the spectrum map.
+
+    S_total is None where the moments diverge (|lambda_plus| < 1e-9 kappa).
+    """
     cs = rate_coefficients(derive_couplings(p), p)
     if cs.lambda_plus >= -1e-9 * p.kappa:
-        return detuning, None, cs.lambda_plus
-    comp = total_spectrum(p, np.asarray(nu), ds)
-    return detuning, comp.s_total, cs.lambda_plus
+        return None, cs.lambda_plus
+    return total_spectrum(p, nu, ds).s_total, cs.lambda_plus
 
 
 def cmd_spectrum_map(cfg: RunConfig) -> int:
@@ -279,15 +259,9 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
     lo = min(0.0, -detunings.max()) - pad
     hi = max(0.0, -detunings.min()) + pad
     nu = np.linspace(lo, hi, int(cfg.spectrum["count"]))
-    pdict = dataclasses.asdict(cfg.params)
-    jobs = [(pdict, float(d), nu.tolist(), ds) for d in detunings]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_map_row, jobs))
-    else:
-        results = [_map_row(j) for j in jobs]
     rows, gaps = [], []
-    for detuning, s_total, lam in results:
+    for detuning in map(float, detunings):
+        s_total, lam = _map_row(cfg.params.with_detuning(detuning), nu, ds)
         if s_total is None:
             gaps.append(f"gap: detuning_ueV = {_fmt(detuning)} "
                         f"(lambda_plus = {_fmt(lam)}, moments diverge)")
@@ -446,11 +420,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks")
-    parser.add_argument("--fixed-step", action="store_true", default=None,
-                        help="use the deterministic fixed-step integrator")
     args = parser.parse_args(argv)
 
     try:
@@ -458,14 +429,8 @@ def main(argv=None) -> int:
         cfg.command = args.command
         if args.out is not None:
             cfg.out = args.out
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("workers must be >= 1")
-            cfg.workers = args.workers
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.fixed_step:
-            cfg.fixed_step = True
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -476,6 +441,11 @@ def main(argv=None) -> int:
             PositivityError, FloatingPointError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # a value the library's own input checks reject (filter width, grid
+        # margins) is a config error, reported without a traceback
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

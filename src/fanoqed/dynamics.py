@@ -16,9 +16,9 @@ eigenvalue carries an absolute error of order eps*||A||, harmless for modes
 that decay at the generator's scale but amplified by t for a mode far slower
 than it, such as the one at the rate antiresonance.  Such slow modes are split
 off and propagated by their own refined generator (see ``_propagate_expm``).
-Adaptive Runge-Kutta and fixed-step RK4 backends are kept for cross-checks and
-bit-reproducible output.  In this sector the closure <sigma_z a+ a> = -<a+ a>
-is exact, so the two routes must agree to integrator accuracy.
+Adaptive DOP853 (scipy's solve_ivp) is kept as the independent cross-check.
+In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, so the two
+routes must agree to integrator accuracy.
 """
 
 from __future__ import annotations
@@ -343,73 +343,47 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
     return ys.T
 
 
-def _propagate_rk4(a: np.ndarray, y0: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
-    """Classical fixed-step RK4 hitting every sample time exactly."""
-    ys = np.empty((len(t), len(y0)), dtype=np.result_type(a, y0))
-    y = np.asarray(y0, dtype=ys.dtype)
-    ys[0] = y
-    for k in range(len(t) - 1):
-        gap = t[k + 1] - t[k]
-        n_sub = max(1, int(math.ceil(gap / dt)))
-        h = gap / n_sub
-        for _ in range(n_sub):
-            k1 = a @ y
-            k2 = a @ (y + 0.5 * h * k1)
-            k3 = a @ (y + 0.5 * h * k2)
-            k4 = a @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[k + 1] = y
-    return ys.T
-
-
-def _propagate(a, y0, t, method, rtol, atol, dt):
+def _propagate(a, y0, t, method, rtol, atol):
     if method == "expm":
         return _propagate_expm(a, y0, t, rtol, atol), "expm"
-    if method == "fixed":
-        return _propagate_rk4(a, y0, t, dt), "rk4-fixed"
-    scipy_method = {"rk": "DOP853", "dop853": "DOP853", "rk45": "RK45",
-                    "radau": "Radau"}.get(method)
-    if scipy_method is None:
+    if method != "dop853":
         raise ValueError(f"unknown integration method {method!r}")
     from scipy.integrate import solve_ivp
 
-    kwargs = {"jac": a} if scipy_method == "Radau" else {}
     sol = solve_ivp(lambda _t, y: a @ y, (t[0], t[-1]), y0, t_eval=t,
-                    rtol=rtol, atol=atol, method=scipy_method, **kwargs)
+                    rtol=rtol, atol=atol, method="DOP853")
     if not sol.success:
         raise IntegrationError(
-            f"{scipy_method} failed at t = {sol.t[-1] if len(sol.t) else t[0]}: "
+            f"DOP853 failed at t = {sol.t[-1] if len(sol.t) else t[0]}: "
             f"{sol.message}")
-    return sol.y, scipy_method
+    return sol.y, "DOP853"
 
 
 def evolve_triple(p: SystemParams, init: BlochTriple | None = None,
                   t_grid=None, method: str = "expm",
-                  rtol: float = 1e-10, atol: float = 1e-12,
-                  dt: float = 1e-4) -> Trajectory:
+                  rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
     """Integrate the (n_e, n_c, p) equations of motion on a sample grid.
 
-    method: "expm" (exact linear propagation, default), "rk"/"dop853"/"rk45"/
-    "radau" (adaptive solve_ivp at the given tolerances), or "fixed"
-    (deterministic RK4 with sub-step <= dt, for reproducible output files).
+    method: "expm" (exact linear propagation, default; reruns give the same
+    bytes) or "dop853" (adaptive solve_ivp at the given tolerances, the
+    independent cross-check).
     """
     if init is None:
         init = BlochTriple(n_e=1.0, n_c=0.0, pol=0.0)
     t = _check_t_grid(t_grid)
     a = triple_generator_matrix(p)
     y0 = np.array([init.n_c, init.n_e, init.pol.real, init.pol.imag])
-    ys, integ = _propagate(a, y0, t, method, rtol, atol, dt)
+    ys, integ = _propagate(a, y0, t, method, rtol, atol)
     return Trajectory(
         t=t, n_e=ys[1], n_c=ys[0], pol=ys[2] + 1j * ys[3],
         metadata={"integrator": integ, "rtol": rtol, "atol": atol,
-                  "dt": dt if method == "fixed" else None,
                   "equations": "bloch-triple", "params": p})
 
 
 def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
                     t_grid=None, method: str = "expm",
                     rtol: float = 1e-10, atol: float = 1e-12,
-                    dt: float = 1e-4, positivity_abort: float = 1e-7,
+                    positivity_abort: float = 1e-7,
                     return_states: bool = False):
     """Integrate the full master equation; emit (n_e, n_c, pol) per sample.
 
@@ -429,12 +403,13 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
         raise ValueError(f"rho0 must have unit trace, got {np.trace(rho0)}")
     t = _check_t_grid(t_grid)
     liou = liouvillian_matrix(p)
-    # real 18-dim embedding keeps every backend (incl. Radau) applicable
+    # real 18-dim embedding: _slow_modes takes a real Schur form and a real
+    # Dot2 residual, so the propagated generator must be real
     lr = np.zeros((18, 18))
     lr[:9, :9] = liou.real; lr[:9, 9:] = -liou.imag
     lr[9:, :9] = liou.imag; lr[9:, 9:] = liou.real
     y0 = np.concatenate([rho0.real.ravel(), rho0.imag.ravel()])
-    ys, integ = _propagate(lr, y0, t, method, rtol, atol, dt)
+    ys, integ = _propagate(lr, y0, t, method, rtol, atol)
     rhos = (ys[:9] + 1j * ys[9:]).T.reshape(len(t), 3, 3)
 
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
@@ -450,7 +425,6 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     traj = Trajectory(
         t=t, n_e=rhos[:, 0, 0].real, n_c=rhos[:, 1, 1].real, pol=rhos[:, 1, 0],
         metadata={"integrator": integ, "rtol": rtol, "atol": atol,
-                  "dt": dt if method == "fixed" else None,
                   "equations": "lindblad", "params": p,
                   "min_eigenvalue": min_eig, "hermiticity_defect": float(herm),
                   "trace_defect": float(tr_err)})

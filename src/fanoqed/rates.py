@@ -139,14 +139,15 @@ class RateSweepTable:
 def rate_sweep(p: SystemParams, eps_range: tuple[float, float], n: int) -> RateSweepTable:
     """Evaluate W, the weak-coupling W, and the reference profile on a grid.
 
-    The grid is uniform over eps_range with n >= 2 points; each row is
-    computed by the single-point operations on a parameter copy with the
-    cavity moved to the requested reduced detuning.  For kappa < gamma, which
-    holds along the whole sweep, W is the -lambda_minus branch and one
-    RegimeWarning is emitted, as in :func:`transition_rate`.
+    The grid is uniform over eps_range with n >= 1 points (n = 1 gives the
+    start point alone); each row is computed by the single-point operations
+    on a parameter copy with the cavity moved to the requested reduced
+    detuning.  For kappa < gamma, which holds along the whole sweep, W is the
+    -lambda_minus branch and one RegimeWarning is emitted, as in
+    :func:`transition_rate`.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 sweep points, got {n}")
+    if n < 1:
+        raise ValueError(f"need at least 1 sweep point, got {n}")
     if p.kappa < p.gamma:
         warnings.warn(
             "kappa < gamma: transition rates taken from the -lambda_minus branch",

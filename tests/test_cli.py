@@ -34,15 +34,20 @@ def read_csv(path):
     return comments, header, np.array(rows), footer
 
 
+def fresh_python(args, **kwargs):
+    """Run this interpreter in a new process that imports fanoqed from src/."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + args, check=True,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
 def test_cli_import_leaves_scipy_solvers_unloaded():
     # scipy.linalg and scipy.integrate load only inside the functions that
     # propagate or run the oracle, which keeps every fanoqed start short
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, fanoqed.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    out = fresh_python(["-c", code], capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
@@ -66,8 +71,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(write_config(tmp_path, {"sweep": {"stop": 1.0, "step": 0.1}}))
     with pytest.raises(ConfigError):
         _from_dict({"params": {"eta": 2.0}})
-    with pytest.raises(ConfigError):
-        _from_dict({"workers": 0})
+    for removed in ("fixed_step", "fixed_step_dt", "workers"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            _from_dict({removed: 1})
     with pytest.raises(ConfigError):
         _from_dict({"sweep": {"variable": "kappa"}})
     with pytest.raises(ConfigError):
@@ -80,6 +86,27 @@ def test_config_error_exit_code(tmp_path):
     path = write_config(tmp_path, {"unknown_key": 1})
     assert main(["rate-sweep", "--config", path]) == EXIT_CONFIG
     assert main(["rate-sweep", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    for flags in (["--fixed-step"], ["--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics"] + flags)
+        assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("rate-sweep", {"sweep": {"count": 0}}),
+    ("dynamics", {"dynamics": {"count": 1}}),
+    ("dynamics", {"dynamics": {"t_max": -1.0}}),
+    ("spectrum", {"spectrum": {"count": 0}}),
+    ("spectrum-map", {"map": {"count": 0}}),
+    ("spectrum", {"spectrum": {"ds": 0.0}}),
+    ("spectrum", {"spectrum": {"nu_start": -10.0, "nu_stop": 10.0}}),
+])
+def test_bad_section_values_are_config_errors(tmp_path, capsys, command, doc):
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
 
 
 def test_rate_sweep_csv(tmp_path):
@@ -226,20 +253,6 @@ def test_spectrum_map_triples_and_gap(tmp_path):
     assert rows.shape == (4 * 41, 3)
 
 
-def test_spectrum_map_workers_match_serial(tmp_path):
-    doc = {
-        "spectrum": {"ds": 20.0, "count": 31},
-        "map": {"detuning_start": -2000.0, "detuning_stop": 2000.0, "count": 5},
-    }
-    cfg = write_config(tmp_path, doc)
-    out1 = str(tmp_path / "serial.csv")
-    out2 = str(tmp_path / "pool.csv")
-    assert main(["spectrum-map", "--config", cfg, "--out", out1]) == EXIT_OK
-    assert main(["spectrum-map", "--config", cfg, "--out", out2,
-                 "--workers", "3"]) == EXIT_OK
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
 def test_spectrum_map_weak_dephasing_emitter_line_reduction(tmp_path):
     # a small dephasing barely moves the rate profile yet already flips the
     # detuned spectrum from the emitter line to the cavity line
@@ -258,18 +271,19 @@ def test_spectrum_map_weak_dephasing_emitter_line_reduction(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    cfg = write_config(tmp_path, {
-        "dynamics": {"t_max": 0.2, "count": 501},
-        "fixed_step": True,
-        "fixed_step_dt": 1e-4,
-    })
+    # the expm propagation is deterministic: two runs in this process and one
+    # in a fresh interpreter write the same bytes
+    cfg = write_config(tmp_path, {"dynamics": {"t_max": 0.2, "count": 501}})
     outs = []
     for name in ("a.csv", "b.csv"):
         out = str(tmp_path / name)
         assert main(["dynamics", "--config", cfg, "--out", out]) == EXIT_OK
         outs.append(open(out, "rb").read())
-    assert outs[0] == outs[1]
-    assert b"rk4-fixed" in outs[0]
+    out = str(tmp_path / "fresh.csv")
+    fresh_python(["-m", "fanoqed.cli", "dynamics", "--config", cfg, "--out", out])
+    outs.append(open(out, "rb").read())
+    assert outs[0] == outs[1] == outs[2]
+    assert b"# integrator: expm\n" in outs[0]
 
 
 def test_validate_passes_and_is_seed_deterministic(tmp_path, capsys):

@@ -52,12 +52,8 @@ def test_triple_matches_lindblad_pointwise(rng):
 def test_integrator_backends_agree(baseline_params):
     t = np.linspace(0.0, 0.3, 301)
     ref = evolve_triple(baseline_params, t_grid=t, method="expm")
-    for method in ("dop853", "radau", "rk45"):
-        alt = evolve_triple(baseline_params, t_grid=t, method=method)
-        tol = 1e-6 if method == "rk45" else 1e-8
-        assert np.abs(ref.n_e - alt.n_e).max() < tol, method
-    fixed = evolve_triple(baseline_params, t_grid=t, method="fixed", dt=2e-5)
-    assert np.abs(ref.n_e - fixed.n_e).max() < 1e-8
+    alt = evolve_triple(baseline_params, t_grid=t, method="dop853")
+    assert np.abs(ref.n_e - alt.n_e).max() < 1e-8
 
 
 def test_lindblad_backend_agreement(baseline_params):
@@ -355,8 +351,9 @@ def test_input_validation():
         evolve_triple(p, t_grid=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         evolve_triple(p, t_grid=np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        evolve_triple(p, t_grid=np.linspace(0, 1, 10), method="simpson")
+    for method in ("simpson", "radau", "fixed"):
+        with pytest.raises(ValueError):
+            evolve_triple(p, t_grid=np.linspace(0, 1, 10), method=method)
     with pytest.raises(ValueError):
         BlochTriple(n_e=-0.5, n_c=0.0)
     with pytest.raises(ValueError):

@@ -185,7 +185,7 @@ def test_rate_sweep_degenerate_interval():
     assert table.eps[0] == table.eps[1]
     assert table.w_full[0] == table.w_full[1]
     with pytest.raises(ValueError):
-        rate_sweep(SystemParams(), (0.0, 1.0), 1)
+        rate_sweep(SystemParams(), (0.0, 1.0), 0)
 
 
 def test_rate_sweep_rows_match_single_point_operations():
