@@ -14,7 +14,8 @@ delimiter, LF line endings, and a comment header carrying the full parameter
 snapshot.
 
 Exit codes: 0 success, 1 validation failure, 2 config error (including a
-value the library's own input checks reject), 3 numeric error.
+value the library's own input checks reject and an --out path that cannot be
+opened, which is checked before any work), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ _SECTION_KEYS = {
     "map": ("detuning_start", "detuning_stop", "count"),
     "validate": ("draws", "inject_eta"),
 }
-# smallest count each section's grid accepts
-_MIN_COUNT = {"sweep": 1, "dynamics": 2, "spectrum": 2, "map": 1}
+# smallest value each section's count accepts: the grid sizes, and the number
+# of parameter sets validate draws (a check over no sets would read as a pass)
+_MIN_COUNT = {("sweep", "count"): 1, ("dynamics", "count"): 2,
+              ("spectrum", "count"): 2, ("map", "count"): 1, ("validate", "draws"): 1}
 
 
 class ConfigError(ValueError):
@@ -130,10 +133,10 @@ def _from_dict(doc: dict) -> RunConfig:
         cfg.seed = doc["seed"]
     if cfg.sweep["variable"] != "eps":
         raise ConfigError(f"unsupported sweep variable {cfg.sweep['variable']!r}")
-    for section, lo in _MIN_COUNT.items():
-        count = getattr(cfg, section)["count"]
+    for (section, key), lo in _MIN_COUNT.items():
+        count = getattr(cfg, section)[key]
         if not _is_number(count, int) or count < lo:
-            raise ConfigError(f"{section}.count must be an integer >= {lo}, got {count!r}")
+            raise ConfigError(f"{section}.{key} must be an integer >= {lo}, got {count!r}")
     t_max = cfg.dynamics["t_max"]
     if not _is_number(t_max, (int, float)) or not 0 < t_max < math.inf:
         raise ConfigError(f"dynamics.t_max must be a finite number > 0, got {t_max!r}")
@@ -350,8 +353,9 @@ def _validate_checks(cfg: RunConfig):
         ww = np.array([transition_rate_weak(base.with_reduced_detuning(float(e)))
                        for e in eps_grid])
         wf = np.array([fano_formula(q, float(e), gamma) for e in eps_grid])
-        # both formulas vanish near eps = -q at slightly offset detunings, so
-        # pointwise ratios diverge there; check outside plus a sup-norm bound
+        # the reference profile vanishes at eps = -q, while the weak-coupling
+        # rate has no zero and only dips to a positive floor there, so the
+        # pointwise ratio diverges near -q; check outside plus a sup-norm bound
         outside = np.abs(eps_grid + q.real) >= max(2.0, 0.5 * q.real)
         worst = max(worst, float(np.abs(ww - wf).max() / wf.max()))
         if outside.any():
@@ -431,6 +435,9 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.seed is not None:
             cfg.seed = args.seed
+        if cfg.out is not None and args.command != "validate":
+            # fail on an unwritable path before the work, not after it
+            open(cfg.out, "a", encoding="utf-8").close()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

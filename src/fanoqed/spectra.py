@@ -4,15 +4,19 @@ The detected spectrum splits into an emitter part S_21, a cavity part S_c and
 an interference part S_F; all three are rational in the filter variable with
 the same pair of complex poles gamma_p, gamma_m (eigenvalues of the
 single-time generator of (<sigma->, <a>)).  Their weights are set by the
-time-integrated moments I_e, I_c, I_p of the coarse-grained evolution.  The
-frequency-integrated total is the emitted photon number, exactly one for an
-initially excited emitter.
+time-integrated moments I_e, I_c, I_p.  These follow from the equations of
+motion dy/dt = A y of y = (n_c, n_e, Re p, Im p) alone: integrated from 0 to
+infinity they give A I = -y0, with y0 = (0, 1, 0, 0).  That integral is the
+resolvent at zero frequency, where adiabatic elimination of the polarization
+is exact, so the closed forms of the coarse-grained evolution give the same
+moments (see :func:`integrated_moments`).  The frequency-integrated total is
+the emitted photon number, exactly one for an initially excited emitter.
 
 ``spectrum_quadrature_oracle`` rebuilds the total spectrum with no use of the
-pole algebra: two-time correlators come from numerically propagated
-regression factors C(tau) and numerically integrated single-time moments,
-and the filter integral is done by composite Gauss-Legendre panels that are
-refined until converged.  The tau sum is evaluated in factored form: the
+pole algebra or of the coarse-grained rates: two-time correlators come from
+numerically propagated regression factors C(tau) and the moments solved
+from A I = -y0, and the filter integral is done by composite Gauss-Legendre
+panels that are refined until converged.  The tau sum is evaluated in factored form: the
 correlator kernels fold into one complex weight per node, the node lattice
 tau = (kk*n_r + r) h + o_j splits each phase e^{i nu tau} into three short
 factors, and since that weight has rank 4 between kk and (r, j), the sum
@@ -28,7 +32,7 @@ import numpy as np
 
 from .params import SystemParams, derive_couplings
 from .rates import CoarseRateSystem, rate_coefficients
-from .dynamics import coarse_grained_solution, adiabatic_polarization, evolve_triple
+from .dynamics import triple_generator_matrix, _matmul_dot2
 
 __all__ = [
     "SpectralPoles",
@@ -147,11 +151,24 @@ def _check_decaying(p: SystemParams, cs: CoarseRateSystem) -> None:
 def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMoments:
     """Time-integrated moments of the initially excited emitter.
 
-    source="coarse" evaluates the exact integrals of the coarse-grained
-    closed forms: I_e = (R_pm + kappa)/(L+ L-), I_c = R_pp/(L+ L-), and I_p
-    from the quasi-steady polarization, which is linear in (I_e, I_c).
-    source="ode" integrates the full equations of motion numerically instead
-    (trapezoid on a graded grid), as an independent cross-check.
+    Integrating the equations of motion dy/dt = A y from t = 0 to infinity,
+    with y = (n_c, n_e, Re p, Im p), y(0) = y0 = (0, 1, 0, 0) and y(inf) = 0,
+    gives A I = -y0 exactly, where A = triple_generator_matrix(p) and I holds
+    (I_c, I_e, Re I_p, Im I_p).  A 0 -> infinity time integral is the
+    resolvent at zero frequency, where adiabatic elimination is exact, not
+    an approximation: y0 has no polarization part, so the polarization rows
+    give I_p = -A_pp^-1 A_pn I_n, the quasi-steady polarization, and the
+    population rows give (A_nn - A_np A_pp^-1 A_pn) I_n = -y0_n, whose matrix
+    (the Schur complement of A_pp) is the coarse-grained rate matrix
+    ``CoarseRateSystem.coefficient_matrix``.  So both sources give the same
+    moments up to rounding.
+
+    source="coarse" evaluates the closed forms of the coarse-grained system:
+    I_e = (R_pm + kappa)/(L+ L-), I_c = R_pp/(L+ L-), and I_p from the
+    quasi-steady polarization, which is linear in (I_e, I_c).
+    source="ode" solves A I = -y0 on the full equations of motion instead,
+    with one refinement step whose residual A I + y0 is a compensated (Dot2)
+    product, as a check independent of the closed forms.
     """
     dc = derive_couplings(p)
     cs = rate_coefficients(dc, p)
@@ -161,16 +178,14 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
         i_e = (cs.r_pm + p.kappa) / det
         i_c = cs.r_pp / det
     elif source == "ode":
-        t_fast = 1.0 / (p.gamma + p.kappa)
-        t_slow = 40.0 / abs(cs.lambda_plus)
-        t = np.unique(np.concatenate([
-            np.linspace(0.0, 10.0 * t_fast, 20001),
-            np.geomspace(10.0 * t_fast, t_slow, 20001)]))
-        traj = evolve_triple(p, t_grid=t)
-        i_e = float(np.trapezoid(traj.n_e, t))
-        i_c = float(np.trapezoid(traj.n_c, t))
-        i_p = complex(np.trapezoid(traj.pol, t))
-        return IntegratedMoments(i_e=i_e, i_c=i_c, i_p=i_p)
+        a = triple_generator_matrix(p)
+        y0 = np.array([0.0, 1.0, 0.0, 0.0])
+        x = np.linalg.solve(a, -y0)
+        # A x + y0 cancels to rounding, so it is summed as one Dot2 product
+        resid = _matmul_dot2(np.hstack([a, y0[:, None]]), np.append(x, 1.0)[:, None])
+        x -= np.linalg.solve(a, resid[:, 0])
+        return IntegratedMoments(i_e=float(x[1]), i_c=float(x[0]),
+                                 i_p=complex(x[2], x[3]))
     else:
         raise ValueError(f"unknown moment source {source!r}")
     i_p = complex((-1j * np.conj(dc.g_plus) * i_e + 1j * np.conj(dc.g_minus) * i_c)
@@ -288,30 +303,6 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
         ds=ds, sum_rule=m.sum_rule(p))
 
 
-def _log_panel_quadrature(t_end: float, fast_rate: float, n_per: int = 24,
-                          growth: float = 1.35):
-    """Gauss-Legendre nodes/weights on geometrically graded panels of [0, t_end]."""
-    x, w = np.polynomial.legendre.leggauss(n_per)
-    edges = [0.0, min(1e-3 / fast_rate, t_end)]
-    while edges[-1] < t_end:
-        edges.append(min(edges[-1] * growth, t_end))
-    edges = np.asarray(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
-def _oracle_moments(p: SystemParams) -> IntegratedMoments:
-    """Moments by numerical quadrature of the coarse-grained time curves."""
-    cs = rate_coefficients(derive_couplings(p), p)
-    _check_decaying(p, cs)
-    t, w = _log_panel_quadrature(40.0 / abs(cs.lambda_plus), p.gamma + p.kappa)
-    n_e, n_c = coarse_grained_solution(p, t)
-    pol = adiabatic_polarization(p, n_e, n_c)
-    return IntegratedMoments(i_e=float(w @ n_e), i_c=float(w @ n_c),
-                             i_p=complex(w @ pol))
-
-
 def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
     """e^0 .. e^(n-1) of a 2x2 matrix, by doubling."""
     out = np.eye(2, dtype=complex)[None]
@@ -378,10 +369,10 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     """Total spectrum S(nu, ds) rebuilt by numerical quadrature.
 
     Two-time correlators <O_i(t - tau) O_j(t)> are expressed through the
-    regression factors C(tau) = exp(tau M) and the single-time expectations
-    of the coarse-grained evolution.  C(tau) is propagated numerically panel
-    by panel, the trajectory-time integral is evaluated by graded-panel
-    quadrature of the time curves, and the filter integral over tau by
+    regression factors C(tau) = exp(tau M) and the time-integrated moments,
+    which come from the full equations of motion (``integrated_moments`` with
+    source="ode"), not from the coarse-grained rates.  C(tau) is propagated
+    numerically panel by panel, and the filter integral over tau is done by
     composite Gauss-Legendre panels.  The panel density is doubled until the
     result moves by less than rel_tol in relative L2; non-convergence raises
     QuadratureConvergenceError, whose ``achieved`` and ``rel_tol`` attributes
@@ -410,7 +401,7 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     nu is relative to omega21; returns the total spectrum on the grid.
     """
     nu_abs = np.atleast_1d(np.asarray(nu, float)) + p.omega21
-    m = _oracle_moments(p)
+    m = integrated_moments(p, source="ode")
     coarse = _oracle_total(p, nu_abs, ds, m, phase_per_panel=0.9)
     fine = _oracle_total(p, nu_abs, ds, m, phase_per_panel=0.45)
     scale = np.linalg.norm(fine)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fanoqed import cli
 from fanoqed.cli import (RunConfig, load_config, main, ConfigError,
                          EXIT_OK, EXIT_VALIDATION, EXIT_CONFIG, EXIT_NUMERIC,
                          _from_dict)
@@ -100,6 +101,8 @@ def test_config_error_exit_code(tmp_path):
     ("spectrum-map", {"map": {"count": 0}}),
     ("spectrum", {"spectrum": {"ds": 0.0}}),
     ("spectrum", {"spectrum": {"nu_start": -10.0, "nu_stop": 10.0}}),
+    ("validate", {"validate": {"draws": 0}}),
+    ("validate", {"validate": {"draws": -3}}),
 ])
 def test_bad_section_values_are_config_errors(tmp_path, capsys, command, doc):
     path = write_config(tmp_path, doc)
@@ -107,6 +110,23 @@ def test_bad_section_values_are_config_errors(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["missing/o.csv", "."])
+def test_unwritable_out_is_config_error_before_the_work(tmp_path, capsys, monkeypatch,
+                                                        out):
+    # a missing directory or a directory as --out is reported before any
+    # row is computed, as a config error without a traceback; validate,
+    # which writes no CSV, ignores --out
+    calls = []
+    monkeypatch.setattr(cli, "rate_sweep", lambda *args: calls.append(args))
+    assert main(["rate-sweep", "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert calls == []
+    cfg = write_config(tmp_path, {"validate": {"draws": 1}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / out)]) == EXIT_OK
 
 
 def test_rate_sweep_csv(tmp_path):

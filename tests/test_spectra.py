@@ -11,7 +11,8 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients,
                      spectrum_component, component_integral, total_spectrum,
                      default_frequency_grid, spectrum_quadrature_oracle,
                      DivergentMomentsError, QuadratureConvergenceError)
-from fanoqed.spectra import _f_coefficients, _oracle_moments, _oracle_total
+from fanoqed.dynamics import triple_generator_matrix
+from fanoqed.spectra import _f_coefficients, _oracle_total
 from conftest import random_valid_params
 
 DS = 20.0
@@ -100,13 +101,34 @@ def test_photon_sum_rule_randomized(rng):
         assert abs(integrated_moments(p).sum_rule(p) - 1.0) <= 1e-9
 
 
-def test_moments_against_trajectory_quadrature(baseline_params):
+def test_moments_resolvent_solve_matches_closed_form(baseline_params):
+    # A I = -y0 on the full equations of motion against the coarse closed
+    # forms: both are exact 0 -> infinity integrals (measured 2.7e-15 apart)
     m = integrated_moments(baseline_params)
     m_ode = integrated_moments(baseline_params, source="ode")
-    assert abs(m.i_e - m_ode.i_e) <= 1e-3 * m.i_e
-    assert abs(m.i_c - m_ode.i_c) <= 1e-3 * m.i_c
-    assert abs(m.i_p - m_ode.i_p) <= 1e-3 * abs(m.i_p)
-    assert abs(m_ode.sum_rule(baseline_params) - 1.0) < 1e-4
+    assert abs(m.i_e - m_ode.i_e) <= 1e-13 * m.i_e
+    assert abs(m.i_c - m_ode.i_c) <= 1e-13 * m.i_c
+    assert abs(m.i_p - m_ode.i_p) <= 1e-13 * abs(m.i_p)
+    assert abs(m_ode.sum_rule(baseline_params) - 1.0) <= 1e-13
+
+
+def test_moments_resolvent_solve_against_mpmath():
+    # the refined float solve against a 50-digit solve of the same float
+    # generator on the twelve criterion-5 sets, the antiresonance set
+    # (eta=1, gamma_ph=0, eps=-126.4, condition number 8e11) included
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for eta in (0.0, 1.0):
+            for gph in (0.0, 30.0):
+                for eps in (0.0, 126.4, -126.4):
+                    p = SystemParams(eta=eta, gamma_ph=gph).with_reduced_detuning(eps)
+                    m = integrated_moments(p, source="ode")
+                    a = mpmath.matrix(triple_generator_matrix(p).tolist())
+                    ref = mpmath.lu_solve(a, mpmath.matrix([0, -1, 0, 0]))
+                    i_p = mpmath.mpc(ref[2], ref[3])
+                    assert abs(m.i_c - ref[0]) <= 1e-13 * abs(ref[0])
+                    assert abs(m.i_e - ref[1]) <= 1e-13 * abs(ref[1])
+                    assert abs(m.i_p - i_p) <= 1e-13 * abs(i_p)
 
 
 def test_moments_diverge_at_exact_antiresonance():
@@ -335,7 +357,7 @@ def test_oracle_total_matches_direct_node_sum():
     p = SystemParams(eta=0.6, gamma_ph=5.0, g_abs=25.0, gamma=2.0,
                      theta_c=0.7).with_detuning(50.0)
     nu_abs = np.linspace(-120.0, 120.0, 25) + p.omega21
-    m = _oracle_moments(p)
+    m = integrated_moments(p, source="ode")
     got = _oracle_total(p, nu_abs, DS, m, phase_per_panel=0.9)
     # the oracle's node set: 10-point Gauss-Legendre panels of width h
     dc = derive_couplings(p)
