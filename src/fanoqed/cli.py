@@ -36,7 +36,7 @@ from .rates import (rate_coefficients, transition_rate, transition_rate_weak,
 from .dynamics import (evolve_triple, evolve_lindblad, coarse_grained_solution,
                        IntegrationError, PositivityError)
 from .spectra import (spectral_poles, regression_matrix, integrated_moments,
-                      total_spectrum, default_frequency_grid,
+                      total_spectrum, default_frequency_grid, _tail_pad, _grid_margin,
                       DivergentMomentsError, QuadratureConvergenceError)
 
 __all__ = ["RunConfig", "load_config", "main",
@@ -159,17 +159,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _rows(*columns) -> str:
+    """CSV rows of equal-length float columns, formatted by one '%' operation.
+
+    '%.17g' % x gives the same text as f'{x:.17g}' (:func:`_fmt`) for every
+    float, including signed zeros, subnormals, infinities and nan.
+    """
+    table = np.column_stack(columns)
+    n, k = table.shape
+    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(table.ravel().tolist())
+
+
 def _write_csv(path: str | None, comments: list[str], header: list[str],
-               rows, footer: list[str] = ()):
-    """Deterministic CSV: '#' comment lines, one header row, LF endings."""
+               body: list[str], footer: list[str] = ()):
+    """Deterministic CSV: '#' comment lines, one header row, LF endings.
+
+    body is the data rows as text blocks, formatted beforehand in bulk by
+    :func:`_rows` or the row template of :func:`cmd_spectrum_map`, and
+    written here in order; no value is formatted one at a time.
+    """
     out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
         for line in comments:
             out.write(f"# {line}\n")
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
+        out.writelines(body)
         for line in footer:
             out.write(f"# {line}\n")
     finally:
@@ -191,10 +205,10 @@ def cmd_rate_sweep(cfg: RunConfig) -> int:
     sw = cfg.sweep
     table = rate_sweep(cfg.params, (float(sw["start"]), float(sw["stop"])),
                        int(sw["count"]))
-    rows = [(float(e), float(e * cfg.params.kappa / 2.0), float(wf), float(ww), float(wn))
-            for e, wf, ww, wn in zip(table.eps, table.w_full, table.w_weak, table.w_fano)]
+    body = _rows(table.eps, table.eps * cfg.params.kappa / 2.0,
+                 table.w_full, table.w_weak, table.w_fano)
     _write_csv(cfg.out, _snapshot(cfg) + ["detuning_ueV = omega21 - omega_c"],
-               ["eps", "detuning_ueV", "W_full", "W_weak", "W_fano_abs"], rows)
+               ["eps", "detuning_ueV", "W_full", "W_weak", "W_fano_abs"], [body])
     return EXIT_OK
 
 
@@ -206,12 +220,12 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     traj = evolve_triple(p, t_grid=t)
     n_e_c, n_c_c = coarse_grained_solution(p, t)
     w = transition_rate(p)
-    rows = [(float(t[i]), float(traj.n_e[i]), float(traj.n_c[i]),
-             float(n_e_c[i]), float(n_c_c[i]), float(math.exp(-w * t[i])))
-            for i in range(len(t))]
+    # math.exp per value: np.exp need not round the last bit the same way
+    decay = [math.exp(-w * x) for x in t.tolist()]
+    body = _rows(t, traj.n_e, traj.n_c, n_e_c, n_c_c, decay)
     _write_csv(cfg.out, _snapshot(cfg) + [f"W = {_fmt(w)}"],
                ["t", "n_e_ode", "n_c_ode", "n_e_coarse", "n_c_coarse", "exp_minus_Wt"],
-               rows)
+               [body])
     return EXIT_OK
 
 
@@ -226,11 +240,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     """Spectrum components on a frequency grid, with the sum rule as footer."""
     ds = float(cfg.spectrum["ds"])
     comp = total_spectrum(cfg.params, _spectrum_grid(cfg), ds)
-    rows = [(float(comp.nu[i]), float(comp.s21[i]), float(comp.s_c[i]),
-             float(comp.s_f[i]), float(comp.s_total[i]))
-            for i in range(len(comp.nu))]
+    body = _rows(comp.nu, comp.s21, comp.s_c, comp.s_f, comp.s_total)
     _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}"],
-               ["nu_minus_omega21_ueV", "S21", "Sc", "SF", "Stotal"], rows,
+               ["nu_minus_omega21_ueV", "S21", "Sc", "SF", "Stotal"], [body],
                footer=[f"sum_rule = {_fmt(comp.sum_rule)}"])
     return EXIT_OK
 
@@ -251,29 +263,30 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
 
     Detunings are omega21 - omega_c; points too close to the exact
     antiresonance (|lambda_plus| < 1e-9 kappa, divergent moments) are skipped
-    and reported as gap comments.
+    and reported as gap comments.  Every detuning shares one frequency grid,
+    so the nu column is formatted once, into a row template; per kept
+    detuning, only the detuning itself and its S_total values are formatted.
     """
     mp = cfg.map
     ds = float(cfg.spectrum["ds"])
     detunings = np.linspace(float(mp["detuning_start"]), float(mp["detuning_stop"]),
                             int(mp["count"]))
-    pad = 20.0 * ds + 5.0 * cfg.params.g_abs + 10.0 * max(
-        cfg.params.kappa, ds, cfg.params.g_abs)
+    pad = _tail_pad(cfg.params, ds) + _grid_margin(cfg.params, ds)
     lo = min(0.0, -detunings.max()) - pad
     hi = max(0.0, -detunings.min()) + pad
     nu = np.linspace(lo, hi, int(cfg.spectrum["count"]))
-    rows, gaps = [], []
+    template = "".join(f"@,{_fmt(x)},%.17g\n" for x in nu.tolist())
+    blocks, gaps = [], []
     for detuning in map(float, detunings):
         s_total, lam = _map_row(cfg.params.with_detuning(detuning), nu, ds)
         if s_total is None:
             gaps.append(f"gap: detuning_ueV = {_fmt(detuning)} "
                         f"(lambda_plus = {_fmt(lam)}, moments diverge)")
             continue
-        rows.extend((detuning, float(nu[i]), float(s_total[i]))
-                    for i in range(len(nu)))
+        blocks.append(template.replace("@", _fmt(detuning)) % tuple(s_total.tolist()))
     _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
                                           "detuning_ueV = omega21 - omega_c"],
-               ["detuning_ueV", "nu_minus_omega21_ueV", "Stotal"], rows,
+               ["detuning_ueV", "nu_minus_omega21_ueV", "Stotal"], blocks,
                footer=gaps)
     return EXIT_OK
 

@@ -265,15 +265,24 @@ def component_integral(p: SystemParams, which: str,
     return math.pi * complex(d).real
 
 
+def _tail_pad(p: SystemParams, ds: float) -> float:
+    """20*ds + 5|g|: room for the filter tails and any vacuum-Rabi doublet."""
+    return 20.0 * ds + 5.0 * p.g_abs
+
+
+def _grid_margin(p: SystemParams, ds: float) -> float:
+    """10*max(kappa, ds, |g|): the margin :func:`total_spectrum` demands."""
+    return 10.0 * max(p.kappa, ds, p.g_abs)
+
+
 def default_frequency_grid(p: SystemParams, ds: float, n: int = 2001) -> np.ndarray:
     """Grid spanning both resonances plus filter tails and coupling margins.
 
-    The padding is the larger of 20*ds + 5|g| (filter tails and any doublet)
-    and the 10*max(kappa, ds, |g|) margin that :func:`total_spectrum` demands.
+    The padding is the larger of :func:`_tail_pad` and :func:`_grid_margin`.
     """
     lo = min(0.0, p.omega_c - p.omega21)
     hi = max(0.0, p.omega_c - p.omega21)
-    pad = max(20.0 * ds + 5.0 * p.g_abs, 10.0 * max(p.kappa, ds, p.g_abs))
+    pad = max(_tail_pad(p, ds), _grid_margin(p, ds))
     return np.linspace(lo - pad, hi + pad, n)
 
 
@@ -288,7 +297,7 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
     if nu is None:
         nu = default_frequency_grid(p, ds)
     nu = np.asarray(nu, float)
-    margin = 10.0 * max(p.kappa, ds, p.g_abs)
+    margin = _grid_margin(p, ds)
     lo = min(0.0, p.omega_c - p.omega21)
     hi = max(0.0, p.omega_c - p.omega21)
     if nu[0] > lo - margin or nu[-1] < hi + margin:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fanoqed import cli
+from fanoqed import SystemParams, derive_couplings, rate_coefficients, total_spectrum
 from fanoqed.cli import (RunConfig, load_config, main, ConfigError,
                          EXIT_OK, EXIT_VALIDATION, EXIT_CONFIG, EXIT_NUMERIC,
                          _from_dict)
@@ -273,6 +274,38 @@ def test_spectrum_map_triples_and_gap(tmp_path):
     assert rows.shape == (4 * 41, 3)
 
 
+def test_spectrum_map_bytes_match_per_value_rebuild(tmp_path):
+    # the map body rebuilt from total_spectrum row by row, one format call per
+    # value: guards the row template (detuning slot, row order, skipped rows)
+    ds, count, g, kappa = 20.0, 41, 0.0, SystemParams().kappa
+    detunings = np.linspace(-30.0, 30.0, 5)
+    cfg = write_config(tmp_path, {
+        "params": {"g_abs": g, "eta": 1.0, "gamma_ph": 0.0},
+        "spectrum": {"ds": ds, "count": count},
+        "map": {"detuning_start": -30.0, "detuning_stop": 30.0, "count": 5},
+    })
+    out = str(tmp_path / "map.csv")
+    assert main(["spectrum-map", "--config", cfg, "--out", out]) == EXIT_OK
+    p = SystemParams(g_abs=g, eta=1.0, gamma_ph=0.0)
+    pad = 20.0 * ds + 5.0 * g + 10.0 * max(kappa, ds, g)
+    nu = np.linspace(-detunings.max() - pad, -detunings.min() + pad, count)
+    body, footer, kept = [], [], 0
+    for d in detunings.tolist():
+        pd = p.with_detuning(d)
+        lam = rate_coefficients(derive_couplings(pd), pd).lambda_plus
+        if lam >= -1e-9 * kappa:
+            footer.append(f"# gap: detuning_ueV = {d:.17g} "
+                          f"(lambda_plus = {lam:.17g}, moments diverge)\n")
+            continue
+        kept += 1
+        s_total = total_spectrum(pd, nu, ds).s_total
+        body.extend(f"{d:.17g},{x:.17g},{y:.17g}\n" for x, y in zip(nu, s_total))
+    assert kept >= 2 and footer
+    text = pathlib.Path(out).read_bytes().decode("utf-8")
+    _, tail = text.split("detuning_ueV,nu_minus_omega21_ueV,Stotal\n")
+    assert tail == "".join(body + footer)
+
+
 def test_spectrum_map_weak_dephasing_emitter_line_reduction(tmp_path):
     # a small dephasing barely moves the rate profile yet already flips the
     # detuned spectrum from the emitter line to the cavity line
@@ -343,3 +376,13 @@ def test_seventeen_digit_formatting(tmp_path):
     with open(out) as fh:
         line = [l for l in fh if not l.startswith("#")][1]
     assert line.split(",")[0] == f"{1.0 / 3.0:.17g}"
+
+
+def test_rows_matches_per_value_format():
+    # one '%' operation over the table gives the bytes of one format per value
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
+            -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, 3.0,
+            float(2**53 + 1)]
+    cols = (np.array(edge), np.array(edge[::-1]), edge[3:] + edge[:3])
+    expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*cols))
+    assert cli._rows(*cols) == expected
