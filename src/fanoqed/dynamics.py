@@ -8,7 +8,11 @@ Two independent routes are provided and cross-checked against each other:
 * ``evolve_lindblad`` integrates the full master equation for the 3x3 density
   matrix on the basis {|e,0>, |g,1>, |g,0>}, which is closed under the
   dynamics because the initial state carries one excitation and every
-  dissipator is excitation-non-increasing.
+  dissipator is excitation-non-increasing.  Its generator is built from the
+  operators and is block lower triangular: the one-excitation block
+  (rho_ee, rho_11, rho_e1) and the ground coherences (rho_e0, rho_10) evolve
+  on their own, and rho_00 follows from the trace.  The route checks that
+  structure and propagates the blocks as real 4x4 generators.
 
 Both generators are linear and time independent, so the default integrator
 propagates with per-gap matrix exponentials.  These are backward stable: every
@@ -299,7 +303,7 @@ def _hop(hops: np.ndarray, hop_index: np.ndarray, y: np.ndarray,
 
 
 def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
-                    rtol: float, atol: float) -> np.ndarray:
+                    rtol: float, atol: float):
     """Linear propagation y(t_k) by cached per-gap matrix exponentials.
 
     Each distinct gap costs one Pade matrix exponential; propagation is then a
@@ -307,14 +311,16 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
     eigenvalue l with |l| << ||A|| is off by ~eps*||A||, which the hops turn
     into a state error growing like eps*||A||*t.  Step halving cannot see
     it: at the rate antiresonance a whole-generator expm passes that check
-    with n_e off by 2.5e-6.  The modes below SLOW_MODE_RATIO*||A|| (the
-    antiresonance mode, the master equation's stationary state) are
-    therefore split off by their spectral projection of y0 and hopped with
-    exponentials of their own refined k x k generator, whose eigenvalue
-    errors are of order eps*|l|.  The rest stays on the expm(A dt) hops.
-    The largest gap is validated by comparing one full expm(A dt) hop
-    against two half hops, which bounds the local error of the exponential
-    itself.
+    with n_e off by 2.5e-6.  The modes below SLOW_MODE_RATIO*||A|| (such
+    as the antiresonance mode) are therefore split off by their spectral
+    projection of y0 and hopped with exponentials of their own refined
+    k x k generator, whose eigenvalue errors are of order eps*|l|.  The
+    rest stays on the expm(A dt) hops.  The largest gap is validated by
+    comparing one full expm(A dt) hop against two half hops, which bounds
+    the local error of the exponential itself.
+
+    Returns (ys, defect, k): the samples as an (n, len(t)) array, that
+    step-halving defect and the number k of slow modes split off.
     """
     from scipy.linalg import expm
 
@@ -340,12 +346,14 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
         raise IntegrationError(
             f"matrix-exponential propagation failed validation: "
             f"step-halving defect {defect:.3e} at gap {dts[-1]:.3e}")
-    return ys.T
+    return ys.T, float(defect), len(gen)
 
 
 def _propagate(a, y0, t, method, rtol, atol):
+    """Samples of dy/dt = A y and the integrator's metadata entries."""
     if method == "expm":
-        return _propagate_expm(a, y0, t, rtol, atol), "expm"
+        ys, defect, k = _propagate_expm(a, y0, t, rtol, atol)
+        return ys, {"integrator": "expm", "expm_defect": defect, "slow_modes": k}
     if method != "dop853":
         raise ValueError(f"unknown integration method {method!r}")
     from scipy.integrate import solve_ivp
@@ -356,7 +364,7 @@ def _propagate(a, y0, t, method, rtol, atol):
         raise IntegrationError(
             f"DOP853 failed at t = {sol.t[-1] if len(sol.t) else t[0]}: "
             f"{sol.message}")
-    return sol.y, "DOP853"
+    return sol.y, {"integrator": "DOP853"}
 
 
 def evolve_triple(p: SystemParams, init: BlochTriple | None = None,
@@ -373,10 +381,10 @@ def evolve_triple(p: SystemParams, init: BlochTriple | None = None,
     t = _check_t_grid(t_grid)
     a = triple_generator_matrix(p)
     y0 = np.array([init.n_c, init.n_e, init.pol.real, init.pol.imag])
-    ys, integ = _propagate(a, y0, t, method, rtol, atol)
+    ys, info = _propagate(a, y0, t, method, rtol, atol)
     return Trajectory(
         t=t, n_e=ys[1], n_c=ys[0], pol=ys[2] + 1j * ys[3],
-        metadata={"integrator": integ, "rtol": rtol, "atol": atol,
+        metadata={**info, "rtol": rtol, "atol": atol,
                   "equations": "bloch-triple", "params": p})
 
 
@@ -387,10 +395,17 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
                     return_states: bool = False):
     """Integrate the full master equation; emit (n_e, n_c, pol) per sample.
 
-    The density matrix is checked at every sample: Hermiticity and unit trace
-    to rounding, and eigenvalues above -positivity_abort (violations raise
-    PositivityError with the offending time).  With return_states=True the
-    sampled 3x3 matrices are returned alongside the trajectory.
+    The operator-built Liouvillian is checked to be block lower triangular
+    with exact zeros and to have a vanishing trace row (IntegrationError
+    otherwise).  Its one-excitation block is propagated as a real 4x4 in
+    (rho_ee, rho_11, Re rho_e1, Im rho_e1), its ground-coherence block
+    (rho_e0, rho_10) as a real 4x4 only when rho0 has ground coherences, and
+    rho_00 comes from the trace.  Each sampled density matrix is thus
+    Hermitian with the initial trace by construction (the recorded defects
+    stay at rounding level), and its eigenvalues are checked to stay above
+    -positivity_abort (violations raise PositivityError with the offending
+    time).  With return_states=True the sampled 3x3 matrices are returned
+    alongside the trajectory.
     """
     if rho0 is None:
         rho0 = excited_state_dm()
@@ -403,18 +418,48 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
         raise ValueError(f"rho0 must have unit trace, got {np.trace(rho0)}")
     t = _check_t_grid(t_grid)
     liou = liouvillian_matrix(p)
-    # real 18-dim embedding: _slow_modes takes a real Schur form and a real
-    # Dot2 residual, so the propagated generator must be real
-    lr = np.zeros((18, 18))
-    lr[:9, :9] = liou.real; lr[:9, 9:] = -liou.imag
-    lr[9:, :9] = liou.imag; lr[9:, 9:] = liou.real
-    y0 = np.concatenate([rho0.real.ravel(), rho0.imag.ravel()])
-    ys, integ = _propagate(lr, y0, t, method, rtol, atol)
-    rhos = (ys[:9] + 1j * ys[9:]).T.reshape(len(t), 3, 3)
+    # rho.ravel() holds rho_ij at 3*i + j.  In the order
+    # (ee, 11, e1, 1e | e0, 10 | 0e, 01 | 00) the blocks evolve on their own,
+    # except that rho_00 is fed by the one-excitation block
+    one, coh = [0, 4, 1, 3], [2, 5]
+    off_block = np.ones((9, 9), bool)
+    for block in (one, coh, [6, 7]):
+        off_block[np.ix_(block, block)] = False
+    off_block[8, one] = False
+    if np.any(liou[off_block] != 0.0):
+        raise IntegrationError(
+            "master-equation generator leaks out of its blocks: "
+            f"off-block entry {np.abs(liou[off_block]).max():.3e}")
+    trace_row = np.abs(liou[[0, 4, 8]].sum(axis=0)).max()
+    if trace_row > 16.0 * np.finfo(float).eps * np.abs(liou).max():
+        raise IntegrationError(
+            f"master-equation generator does not preserve the trace: "
+            f"trace row {trace_row:.3e}")
+    # rows ee, 11, e1 on columns (rho_ee, rho_11, Re rho_e1, Im rho_e1)
+    b = liou[np.ix_([0, 4, 1], one)]
+    b = np.column_stack([b[:, 0], b[:, 1], b[:, 2] + b[:, 3], 1j * (b[:, 2] - b[:, 3])])
+    y0 = np.array([rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1].real, rho0[0, 1].imag])
+    ys, info = _propagate(np.vstack([b.real, b[2].imag]), y0, t, method, rtol, atol)
+    rhos = np.zeros((len(t), 3, 3), complex)
+    rhos[:, 0, 0] = ys[0]
+    rhos[:, 1, 1] = ys[1]
+    rhos[:, 0, 1] = ys[2] + 1j * ys[3]
+    rhos[:, 2, 2] = np.trace(rho0).real - ys[0] - ys[1]
+    z0 = rho0[:2, 2]
+    if np.any(z0 != 0.0):
+        c = liou[np.ix_(coh, coh)]
+        zs, info_coh = _propagate(np.block([[c.real, -c.imag], [c.imag, c.real]]),
+                                  np.concatenate([z0.real, z0.imag]), t, method, rtol, atol)
+        rhos[:, :2, 2] = (zs[:2] + 1j * zs[2:]).T
+        if "slow_modes" in info:
+            info["slow_modes"] += info_coh["slow_modes"]
+            info["expm_defect"] = max(info["expm_defect"], info_coh["expm_defect"])
+    rhos[:, 1, 0] = rhos[:, 0, 1].conj()
+    rhos[:, 2, :2] = rhos[:, :2, 2].conj()
 
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
     tr_err = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()
-    eigs = np.linalg.eigvalsh(0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2))))
+    eigs = np.linalg.eigvalsh(rhos)
     min_eig = float(eigs.min())
     if min_eig < -positivity_abort:
         k = int(np.argmin(eigs.min(axis=1)))
@@ -424,7 +469,7 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
 
     traj = Trajectory(
         t=t, n_e=rhos[:, 0, 0].real, n_c=rhos[:, 1, 1].real, pol=rhos[:, 1, 0],
-        metadata={"integrator": integ, "rtol": rtol, "atol": atol,
+        metadata={**info, "rtol": rtol, "atol": atol,
                   "equations": "lindblad", "params": p,
                   "min_eigenvalue": min_eig, "hermiticity_defect": float(herm),
                   "trace_defect": float(tr_err)})

@@ -91,11 +91,83 @@ def test_antiresonance_route_matches_exact_propagation(route):
                                    np.array([0.0, 1.0, 0.0, 0.0]), t[sampled])[:, 1]
     else:
         n_e = evolve_lindblad(p, t_grid=t).n_e
-        # the 18-dim real embedding propagates exactly as the 9x9 complex
-        # generator whose entries it holds
+        # the route propagates blocks cut from the 9x9 complex generator, so
+        # the whole generator's exact propagation also checks the block split
         exact = _exact_propagation(liouvillian_matrix(p),
                                    excited_state_dm().ravel(), t[sampled])[:, 0]
     assert np.abs(n_e[sampled] - exact.real).max() <= 1e-9
+
+
+def test_ground_coherence_block_matches_exact_propagation():
+    # rho0 = |psi><psi| with psi ~ |e,0> + |g,0> carries ground coherences,
+    # so the second block is propagated; every entry of rho, rho_00 from the
+    # trace included, is held to the full 9x9 generator
+    p = SystemParams(eta=0.6, gamma_ph=5.0).with_reduced_detuning(30.0)
+    assert p.g != 0.0
+    psi = np.array([1.0, 0.0, 1.0], complex) / math.sqrt(2.0)
+    rho0 = np.outer(psi, psi.conj())
+    t = np.linspace(0.0, 1.0, 201)
+    _, rhos = evolve_lindblad(p, rho0, t, return_states=True)
+    sampled = np.arange(0, len(t), 10)
+    exact = _exact_propagation(liouvillian_matrix(p), rho0.ravel(), t[sampled])
+    assert np.abs(rhos[sampled].reshape(len(sampled), 9) - exact).max() <= 1e-9
+    assert np.abs(rhos[-1, 0, 2]) > 1e-6    # the coherence has not died out
+
+
+def test_slow_modes_and_expm_defect_in_metadata():
+    # one slow mode at the criterion-5 antiresonance, none at the defaults;
+    # the excited state never reaches the master equation's stationary mode
+    cases = [(SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(-126.4), 1),
+             (SystemParams(), 0)]
+    for p, slow in cases:
+        t = np.linspace(0.0, 10.0 / transition_rate(p), 101)
+        for evolve in (evolve_triple, evolve_lindblad):
+            meta = evolve(p, t_grid=t).metadata
+            assert meta["slow_modes"] == slow, (evolve.__name__, p)
+            assert 0.0 <= meta["expm_defect"] < 1e-6
+
+
+def _block_order_blocks(liou):
+    """liouvillian_matrix in the order (ee, 11, e1, 1e | e0, 10 | 0e, 01 | 00)."""
+    order = [0, 4, 1, 3, 2, 5, 6, 7, 8]
+    edges = [0, 4, 6, 8, 9]
+    m = liou[np.ix_(order, order)]
+    return [[m[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] for j in range(4)]
+            for i in range(4)]
+
+
+def test_liouvillian_block_structure(rng):
+    from fanoqed.spectra import regression_matrix
+    sets = [random_valid_params(rng) for _ in range(8)]
+    sets.append(SystemParams(eta=0.6, gamma_ph=5.0, theta_c=0.7))
+    for p in sets:
+        blocks = _block_order_blocks(liouvillian_matrix(p))
+        for i in range(4):
+            for j in range(4):
+                if i != j and (i, j) != (3, 0):   # rho_00 is fed by the first block
+                    assert np.all(blocks[i][j] == 0.0), (i, j)
+        # the one-excitation block carries the equations of motion's spectrum
+        ev_block = np.linalg.eigvals(blocks[0][0])
+        ev_triple = np.linalg.eigvals(triple_generator_matrix(p))
+        scale = np.abs(blocks[0][0]).max()
+        assert np.abs(ev_block[:, None] - ev_triple[None, :]).min(axis=1).max() <= 1e-12 * scale
+        assert np.abs(ev_triple[:, None] - ev_block[None, :]).min(axis=1).max() <= 1e-12 * scale
+        # and the ground coherences follow the regression theorem's generator
+        assert np.array_equal(blocks[1][1], regression_matrix(p))
+        assert np.array_equal(blocks[2][2], regression_matrix(p).conj())
+
+
+def test_block_checks_reject_a_leaking_or_lossy_generator(monkeypatch):
+    import fanoqed.dynamics as dyn
+    p = SystemParams(eta=0.6, gamma_ph=5.0, theta_c=0.7)
+    t = np.linspace(0.0, 0.1, 11)
+    built = liouvillian_matrix(p)
+    leak = built.copy(); leak[0, 2] = 1e-300        # ground coherence feeds rho_ee
+    lossy = built.copy(); lossy[8, 0] = 0.0        # emission never reaches rho_00
+    for bad, what in ((leak, "blocks"), (lossy, "trace")):
+        monkeypatch.setattr(dyn, "liouvillian_matrix", lambda _p, bad=bad: bad)
+        with pytest.raises(dyn.IntegrationError, match=what):
+            evolve_lindblad(p, t_grid=t)
 
 
 def test_confluent_point_expm_matches_dop853():
