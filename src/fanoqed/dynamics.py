@@ -15,11 +15,14 @@ Two independent routes are provided and cross-checked against each other:
   structure and propagates the blocks as real 4x4 generators.
 
 Both generators are linear and time independent, so the default integrator
-propagates with per-gap matrix exponentials.  These are backward stable: every
-eigenvalue carries an absolute error of order eps*||A||, harmless for modes
-that decay at the generator's scale but amplified by t for a mode far slower
-than it, such as the one at the rate antiresonance.  Such slow modes are split
-off and propagated by their own refined generator (see ``_propagate_expm``).
+propagates with matrix exponentials: one batched scaling-and-squaring Pade
+evaluation for all distinct gaps of the grid, then a prefix-product scan of
+those hops for all samples, both numpy operations on stacks of small
+matrices.  The exponentials are backward stable: every eigenvalue carries an
+absolute error of order eps*||A||, harmless for modes that decay at the
+generator's scale but amplified by t for a mode far slower than it, such as
+the one at the rate antiresonance.  Such slow modes are split off and
+propagated by their own refined generator (see ``_propagate_expm``).
 Adaptive DOP853 (scipy's solve_ivp) is kept as the independent cross-check.
 In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, so the two
 routes must agree to integrator accuracy.
@@ -211,10 +214,10 @@ def lindblad_generator(p: SystemParams):
 
 def liouvillian_matrix(p: SystemParams) -> np.ndarray:
     """9x9 complex matrix form of the master-equation generator."""
-    action = lindblad_generator(p)
-    basis = np.eye(9, dtype=complex)
-    return np.column_stack(
-        [action(basis[:, k].reshape(3, 3)).ravel() for k in range(9)])
+    # one call on the stack of the nine basis matrices: the image of basis
+    # matrix k, raveled, is row k of the result and column k of the matrix
+    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    return lindblad_generator(p)(basis).reshape(9, 9).T
 
 
 def _check_t_grid(t_grid) -> np.ndarray:
@@ -292,26 +295,103 @@ def _slow_modes(a: np.ndarray):
     return basis, proj, t11 + proj @ resid
 
 
-def _hop(hops: np.ndarray, hop_index: np.ndarray, y: np.ndarray,
-         ys: np.ndarray) -> np.ndarray:
-    """Fill ys[0] = y, ys[j + 1] = hops[hop_index[j]] @ ys[j]; return ys."""
-    ys[0] = y
-    for j, i in enumerate(hop_index):
-        y = hops[i] @ y
-        ys[j + 1] = y
-    return ys
+# Diagonal Pade approximants r_m = (V - U)^-1 (V + U) of exp, m -> (theta_m,
+# coefficients b_0..b_m): r_m(X) is exp(X) to double precision for
+# ||X||_1 <= theta_m (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
+_PADE = {
+    3: (1.495585217958292e-2, (120., 60., 12., 1.)),
+    5: (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    7: (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200.,
+                               1512., 56., 1.)),
+    9: (2.097847961257068, (17643225600., 8821612800., 2075673600., 302702400.,
+                            30270240., 2162160., 110880., 3960., 90., 1.)),
+    13: (5.371920351148152, (64764752532480000., 32382376266240000.,
+                             7771770303897600., 1187353796428800., 129060195264000.,
+                             10559470521600., 670442572800., 33522128640.,
+                             1323241920., 40840800., 960960., 16380., 182., 1.)),
+}
+
+
+def _pade_expm1(x: np.ndarray, m: int) -> np.ndarray:
+    """The degree-m Pade approximant of exp(x) - I on a stack of matrices x.
+
+    (V - U)^-1 (V + U) - I = 2 (V - U)^-1 U: the solve carries only the
+    difference from the identity, which rounding V + U would blur.
+    """
+    b = _PADE[m][1]
+    eye = np.eye(x.shape[-1])
+    x2 = x @ x
+    if m == 13:
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    else:
+        pows = [eye, x2]
+        while len(pows) <= m // 2:
+            pows.append(pows[-1] @ x2)
+        u = x @ sum(b[2 * k + 1] * xk for k, xk in enumerate(pows))
+        v = sum(b[2 * k] * xk for k, xk in enumerate(pows))
+    return 2.0 * np.linalg.solve(v - u, u)
+
+
+def _expm_stack(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """expm(a * s) for every s in steps, as a (len(steps), n, n) stack.
+
+    Scaling and squaring (Higham 2005) in batched numpy: each step takes the
+    lowest Pade degree m with ||a||_1 s <= theta_m, or degree 13 after scaling
+    a s by 2**-k, k = ceil(log2(||a||_1 s / theta_13)); the result is then
+    squared k times, on the entries that still need it only.  The result is
+    kept as I + c and squared as I + (2c + c @ c), so a mode with exp(l s)
+    close to 1 keeps its difference from 1 to relative accuracy through the
+    squarings instead of losing it to the rounding of I + c at each one.
+    """
+    norm = np.linalg.norm(a, 1) * steps
+    theta13 = _PADE[13][0]
+    squarings = np.ceil(np.log2(np.maximum(norm / theta13, 1.0))).astype(int)
+    x = a * (steps / 2.0 ** squarings)[:, None, None]    # exact power-of-2 scaling
+    degree = np.full(len(steps), 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _PADE[m][0]] = m
+    c = np.empty_like(x)
+    for m in np.unique(degree):
+        sel = degree == m
+        c[sel] = _pade_expm1(x[sel], m)
+    for j in range(squarings.max()):
+        sel = squarings > j
+        cs = c[sel]
+        c[sel] = 2.0 * cs + cs @ cs
+    return np.eye(len(a)) + c
+
+
+def _hop(hops: np.ndarray, hop_index: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ys[0] = y, ys[j + 1] = hops[hop_index[j]] @ ys[j], as a (len + 1, n) array.
+
+    The products hops[hop_index[j]] @ ... @ hops[hop_index[0]] come from a
+    Hillis-Steele inclusive scan, log2(len) batched matmuls of small matrices.
+    """
+    prod = hops[hop_index]
+    k = 1
+    while k < len(prod):
+        prod[k:] = prod[k:] @ prod[:-k]
+        k *= 2
+    return np.vstack([y, prod @ y])
 
 
 def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
                     rtol: float, atol: float):
-    """Linear propagation y(t_k) by cached per-gap matrix exponentials.
+    """Linear propagation y(t_k) by matrix exponentials of the distinct gaps.
 
-    Each distinct gap costs one Pade matrix exponential; propagation is then a
-    sequence of mat-vec hops.  The Pade exponential is backward stable, so an
+    One batched call of _expm_stack gives expm(A dt) for every distinct gap;
+    the samples are then the prefix products of these hops applied to y0,
+    from one scan (_hop).  The Pade exponential is backward stable, so an
     eigenvalue l with |l| << ||A|| is off by ~eps*||A||, which the hops turn
     into a state error growing like eps*||A||*t.  Step halving cannot see
-    it: at the rate antiresonance a whole-generator expm passes that check
-    with n_e off by 2.5e-6.  The modes below SLOW_MODE_RATIO*||A|| (such
+    it: at the rate antiresonance whole-generator hops pass that check with
+    n_e off by 1.2e-8 (by 2.5e-6 with scipy's expm, which squares the
+    rounded I + c).  The modes below SLOW_MODE_RATIO*||A|| (such
     as the antiresonance mode) are therefore split off by their spectral
     projection of y0 and hopped with exponentials of their own refined
     k x k generator, whose eigenvalue errors are of order eps*|l|.  The
@@ -322,23 +402,19 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
     Returns (ys, defect, k): the samples as an (n, len(t)) array, that
     step-halving defect and the number k of slow modes split off.
     """
-    from scipy.linalg import expm
-
     gaps = np.diff(t)
     dts, hop_index = np.unique(gaps, return_inverse=True)
-    steps = np.append(dts, dts[-1] / 2.0)[:, None, None]   # + half largest gap
-    hops = expm(a * steps)
+    steps = np.append(dts, dts[-1] / 2.0)   # + half largest gap
+    hops = _expm_stack(a, steps)
     basis, proj, gen = _slow_modes(a)
-    ys = np.empty((len(t), len(y0)), dtype=np.result_type(a, y0))
     if len(gen):
         # the slow amplitudes hop apart; the rest of y0 stays on expm(A dt)
         amp = proj @ y0
-        _hop(hops, hop_index, y0 - basis @ amp, ys)
-        amps = _hop(expm(gen * steps), hop_index, amp, np.empty((len(t), len(amp))))
-        ys += amps @ basis.T
+        ys = _hop(hops, hop_index, y0 - basis @ amp)
+        ys += _hop(_expm_stack(gen, steps), hop_index, amp) @ basis.T
         ys[0] = y0    # the first sample is the initial condition exactly
     else:
-        _hop(hops, hop_index, np.asarray(y0), ys)
+        ys = _hop(hops, hop_index, y0)
     half, full = hops[-1], hops[-2]
     defect = np.abs(half @ half - full).max()
     scale = max(np.abs(ys).max(), 1.0)
@@ -478,29 +554,28 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     return traj
 
 
+def _exprel(z: np.ndarray) -> np.ndarray:
+    """(exp(z) - 1)/z elementwise, 1 at z = 0."""
+    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+
+
 def coarse_grained_solution(p: SystemParams, t):
     """Closed-form coarse-grained populations (n_e, n_c) at time(s) t.
 
-    Valid for the fixed initial conditions n_e(0) = 1, n_c(0) = 0.  When the
-    two eigenvalues are (nearly) degenerate the confluent limit is used:
-    n_e = (1 + (L + R_pm + kappa) t) exp(L t), n_c = R_pp t exp(L t).
+    Valid for the fixed initial conditions n_e(0) = 1, n_c(0) = 0.  With the
+    divided difference D = (exp(L+ t) - exp(L- t))/(L+ - L-), written
+    t exp(L+ t) exprel(-(L+ - L-) t) so that it holds through the confluent
+    point L+ = L- (the eigenvalues are real, L+ >= L-):
+    n_e = exp(L+ t) + (L- + R_pm + kappa) D and n_c = R_pp D.
     """
     t = np.asarray(t, float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     cs = rate_coefficients(derive_couplings(p), p)
     lp, lm = cs.lambda_plus, cs.lambda_minus
-    scale = max(abs(lp), abs(lm), p.gamma + p.kappa)
-    if abs(lp - lm) < 1e-9 * scale:
-        lam = 0.5 * (lp + lm)
-        e = np.exp(lam * t)
-        n_e = (1.0 + (lam + cs.r_pm + p.kappa) * t) * e
-        n_c = cs.r_pp * t * e
-    else:
-        ep, em = np.exp(lp * t), np.exp(lm * t)
-        n_e = ((lp + cs.r_pm + p.kappa) * ep - (lm + cs.r_pm + p.kappa) * em) / (lp - lm)
-        n_c = cs.r_pp * (ep - em) / (lp - lm)
-    return n_e, n_c
+    ep = np.exp(lp * t)
+    dd = t * ep * _exprel(-(lp - lm) * t)
+    return ep + (lm + cs.r_pm + p.kappa) * dd, cs.r_pp * dd
 
 
 def adiabatic_polarization(p: SystemParams, n_e, n_c):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanoqed import (SystemParams, derive_couplings, transition_rate,
+from fanoqed import (SystemParams, derive_couplings, rate_coefficients, transition_rate,
                      BlochTriple, Trajectory,
                      evolve_triple, evolve_lindblad, coarse_grained_solution,
                      adiabatic_polarization, envelope_decay_rate,
@@ -13,7 +13,8 @@ from fanoqed import (SystemParams, derive_couplings, transition_rate,
                      excited_state_dm, vacuum_state_dm, hamiltonian_matrix,
                      triple_generator_matrix, TooFewExtremaError,
                      EnvelopeFitError)
-from fanoqed.dynamics import SIGMA_MINUS, A_OP, SIGMA_Z, _matmul_dot2
+from fanoqed.dynamics import (SIGMA_MINUS, A_OP, SIGMA_Z, _PADE, _expm_stack, _hop,
+                              _matmul_dot2)
 from conftest import random_valid_params
 
 
@@ -96,6 +97,25 @@ def test_antiresonance_route_matches_exact_propagation(route):
         exact = _exact_propagation(liouvillian_matrix(p),
                                    excited_state_dm().ravel(), t[sampled])[:, 0]
     assert np.abs(n_e[sampled] - exact.real).max() <= 1e-9
+
+
+def test_detuned_uniform_grids_match_exact_propagation():
+    # the criterion-5 sets at eps = +-126.4 on 2001-point uniform grids over
+    # 10/W: hops of ||A dt||_1 ~ 1e2 are scaled and squared, and 2000 of
+    # them compound the error in the slowly decaying mode.  Squaring I + c
+    # as I + (2c + c^2) keeps that mode to relative accuracy; squaring the
+    # rounded I + c leaves 2e-14 to 2e-13 here
+    for eta in (0.0, 1.0):
+        for gamma_ph in (0.0, 30.0):
+            for eps in (126.4, -126.4):
+                p = SystemParams(eta=eta, gamma_ph=gamma_ph).with_reduced_detuning(eps)
+                t = np.linspace(0.0, 10.0 / transition_rate(p), 2001)
+                sampled = np.arange(0, len(t), 100)
+                traj = evolve_triple(p, t_grid=t)
+                exact = _exact_propagation(triple_generator_matrix(p),
+                                           np.array([0.0, 1.0, 0.0, 0.0]), t[sampled])
+                assert np.abs(traj.n_e[sampled] - exact[:, 1].real).max() <= 1e-14
+                assert np.abs(traj.n_c[sampled] - exact[:, 0].real).max() <= 1e-14
 
 
 def test_ground_coherence_block_matches_exact_propagation():
@@ -185,6 +205,79 @@ def test_confluent_point_expm_matches_dop853():
             assert dev <= 1e-9, (evolve.__name__, name, dev)
 
 
+def _kernel_generators():
+    """The default, criterion-5 antiresonance and near-defective generators."""
+    base = SystemParams(eta=0.0, gamma_ph=0.0)
+    sets = [SystemParams(),
+            SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(-126.4),
+            dataclasses.replace(base, g_abs=(base.kappa - base.gamma) / 4.0)]
+    return [triple_generator_matrix(p) for p in sets]
+
+
+def _kernel_steps(a):
+    """Steps just inside each Pade degree's theta, then 1 to 34 squarings."""
+    theta = {m: th for m, (th, _) in _PADE.items()}
+    norms = [0.5 * theta[3]] + [0.99 * theta[m] for m in (3, 5, 7, 9, 13)]
+    norms += [0.99 * theta[13] * 2.0 ** j for j in range(1, 35, 3)]
+    return np.array(norms) / np.linalg.norm(a, 1)
+
+
+def _mp_expm(a, s):
+    """expm(a s) at 40 digits, with the product a s formed exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e = mp.expm(mp.matrix(a.tolist()) * mp.mpf(float(s)))
+        return np.array([[float(e[i, j]) for j in range(e.cols)] for i in range(e.rows)])
+
+
+def test_expm_stack_matches_40_digit_and_scipy_expm():
+    # every Pade degree, and up to 34 squarings on the antiresonance, whose
+    # slow mode keeps expm(A s) of order 1 out to s ~ 1e9; a backward-stable
+    # exponential is good to a few u*||A s||_1 there
+    from scipy.linalg import expm
+    u = np.finfo(float).eps / 2.0
+    for a in _kernel_generators():
+        steps = _kernel_steps(a)
+        got = _expm_stack(a, steps)
+        scale = u * np.maximum(1.0, np.linalg.norm(a, 1) * steps)
+        ref = np.array([_mp_expm(a, s) for s in steps])
+        assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 4.0 * scale)
+        alt = expm(a * steps[:, None, None])
+        assert np.all(np.abs(got - alt).max(axis=(1, 2)) <= 8.0 * scale)
+
+
+def test_expm_stack_is_accurate_near_the_identity():
+    # for ||A s||_1 <= theta_3, expm(A s) = I + X with ||X|| ~ ||A s||: written
+    # I + 2 (V - U)^-1 U the approximant is within a few u*||A s|| of the
+    # 40-digit value in every entry, so the diagonal is correctly rounded;
+    # (V - U)^-1 (V + U) rounds V + U first and misses by an ulp of 1
+    u = np.finfo(float).eps / 2.0
+    for a in _kernel_generators():
+        steps = _kernel_steps(a)[:2]
+        for r, s in zip(_expm_stack(a, steps), steps):
+            assert np.abs(r - _mp_expm(a, s)).max() <= 4.0 * u * np.linalg.norm(a, 1) * s
+
+
+def test_hop_scan_matches_sequential_hops():
+    # the criterion-5 graded grid on the antiresonance, whose generator has
+    # a slow mode, with y0 on it: every sample is the scan's prefix product
+    a = _kernel_generators()[1]
+    horizon = 10.0 / transition_rate(
+        SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(-126.4))
+    t = np.unique(np.concatenate([np.linspace(0.0, 2.0, 201),
+                                  np.geomspace(2.0, horizon, 400)]))
+    dts, hop_index = np.unique(np.diff(t), return_inverse=True)
+    hops = _expm_stack(a, dts)
+    y = np.array([0.0, 1.0, 0.0, 0.0])
+    ref = [y]
+    for i in hop_index:
+        y = hops[i] @ y
+        ref.append(y)
+    got = _hop(hops, hop_index, ref[0])
+    assert got.shape == (len(t), 4)
+    assert np.abs(got - np.array(ref)).max() <= 1e-13
+
+
 def test_compensated_matmul_is_twice_working_precision(rng):
     # 1e3-scale terms, and a first row of a @ b that cancels to rounding
     # level, as A v does for a slow mode v
@@ -219,6 +312,34 @@ def test_coarse_solution_confluent_branch():
     n_e, n_c = coarse_grained_solution(p, t)
     assert np.abs(n_e - np.exp(-t)).max() < 1e-12
     assert np.abs(n_c).max() < 1e-12
+
+
+def test_coarse_solution_through_the_confluent_point():
+    # eta = 0 and kappa = gamma put the coarse eigenvalues 4|g|^2/Gamma_tot
+    # apart: exactly confluent at g = 0, then 4e-14, 2e-9, 4e-6 and 0.04.
+    # Held to the two-exponential form (its confluent limit at L+ = L-) at
+    # 50 digits; an error of u in L t is |L t| u in exp(L t).  The last time
+    # would turn exp(L- t) expm1((L+ - L-) t) into 0 * inf.
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    t = np.array([0.0, 0.1, 1.0, 3.0, 10.0, 50.0, 1e12])
+    for g_abs in (0.0, 1e-7, 2.3e-5, 1e-3, 0.1):
+        p = SystemParams(g_abs=g_abs, eta=0.0, gamma=1.0, kappa=1.0, gamma_ph=0.0)
+        cs = rate_coefficients(derive_couplings(p), p)
+        n_e, n_c = coarse_grained_solution(p, t)
+        with mp.workdps(50):
+            lp, lm = mp.mpf(cs.lambda_plus), mp.mpf(cs.lambda_minus)
+            cp, cm = lp + cs.r_pm + p.kappa, lm + cs.r_pm + p.kappa
+            for tk, ne, nc in zip(t, n_e, n_c):
+                ep, em = mp.exp(lp * tk), mp.exp(lm * tk)
+                if lp == lm:
+                    ref_e, ref_c = (1 + cp * tk) * ep, cs.r_pp * tk * ep
+                else:
+                    ref_e = (cp * ep - cm * em) / (lp - lm)
+                    ref_c = cs.r_pp * (ep - em) / (lp - lm)
+                tol = (8.0 + abs(cs.lambda_minus) * tk) * eps
+                assert abs(ne - float(ref_e)) <= tol * abs(float(ref_e)), (g_abs, tk)
+                assert abs(nc - float(ref_c)) <= tol * abs(float(ref_c)), (g_abs, tk)
 
 
 def test_coarse_solution_threads_oscillation_midline(baseline_params):
