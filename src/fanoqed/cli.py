@@ -54,12 +54,16 @@ _SECTION_KEYS = {
     "dynamics": ("t_max", "count"),
     "spectrum": ("ds", "nu_start", "nu_stop", "count"),
     "map": ("detuning_start", "detuning_stop", "count"),
-    "validate": ("draws", "inject_eta"),
+    "validate": ("draws",),
 }
 # smallest value each section's count accepts: the grid sizes, and the number
 # of parameter sets validate draws (a check over no sets would read as a pass)
 _MIN_COUNT = {("sweep", "count"): 1, ("dynamics", "count"): 2,
               ("spectrum", "count"): 2, ("map", "count"): 1, ("validate", "draws"): 1}
+# values that must be finite numbers (a null nu_start/nu_stop: the default grid)
+_FINITE = (("sweep", "start"), ("sweep", "stop"), ("dynamics", "t_max"),
+           ("spectrum", "ds"), ("spectrum", "nu_start"), ("spectrum", "nu_stop"),
+           ("map", "detuning_start"), ("map", "detuning_stop"))
 
 
 class ConfigError(ValueError):
@@ -81,7 +85,7 @@ class RunConfig:
         "ds": 20.0, "nu_start": None, "nu_stop": None, "count": 2001})
     map: dict = field(default_factory=lambda: {
         "detuning_start": -4000.0, "detuning_stop": 4000.0, "count": 161})
-    validate: dict = field(default_factory=lambda: {"draws": 200, "inject_eta": None})
+    validate: dict = field(default_factory=lambda: {"draws": 200})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -93,6 +97,11 @@ _TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 def _is_number(val, typ) -> bool:
     """isinstance(val, typ), without taking JSON true/false for a number."""
     return isinstance(val, typ) and not isinstance(val, bool)
+
+
+def _is_finite_number(val) -> bool:
+    """A JSON number, not true/false, in the float range: no nan, inf or huge int."""
+    return _is_number(val, (int, float)) and abs(val) <= sys.float_info.max
 
 
 def _from_dict(doc: dict) -> RunConfig:
@@ -109,6 +118,8 @@ def _from_dict(doc: dict) -> RunConfig:
         for key in pdoc:
             if key not in _PARAM_KEYS:
                 raise ConfigError(f"unknown params key {key!r}")
+            if not _is_finite_number(pdoc[key]):  # SystemParams takes arrays too
+                raise ConfigError(f"params.{key} must be a finite number, got {pdoc[key]!r}")
         try:
             cfg.params = SystemParams(**pdoc)
         except (TypeError, ValueError) as exc:
@@ -137,9 +148,14 @@ def _from_dict(doc: dict) -> RunConfig:
         count = getattr(cfg, section)[key]
         if not _is_number(count, int) or count < lo:
             raise ConfigError(f"{section}.{key} must be an integer >= {lo}, got {count!r}")
-    t_max = cfg.dynamics["t_max"]
-    if not _is_number(t_max, (int, float)) or not 0 < t_max < math.inf:
-        raise ConfigError(f"dynamics.t_max must be a finite number > 0, got {t_max!r}")
+    for section, key in _FINITE:
+        val = getattr(cfg, section)[key]
+        if val is None and key in ("nu_start", "nu_stop"):
+            continue
+        if not _is_finite_number(val):
+            raise ConfigError(f"{section}.{key} must be a finite number, got {val!r}")
+    if cfg.dynamics["t_max"] <= 0:
+        raise ConfigError(f"dynamics.t_max must be > 0, got {cfg.dynamics['t_max']!r}")
     return cfg
 
 
@@ -247,17 +263,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _map_row(p: SystemParams, nu: np.ndarray, ds: float) -> tuple:
-    """(S_total on nu, lambda_plus) for one detuning row of the spectrum map.
-
-    S_total is None where the moments diverge (|lambda_plus| < 1e-9 kappa).
-    """
-    cs = rate_coefficients(derive_couplings(p), p)
-    if cs.lambda_plus >= -1e-9 * p.kappa:
-        return None, cs.lambda_plus
-    return total_spectrum(p, nu, ds).s_total, cs.lambda_plus
-
-
 def cmd_spectrum_map(cfg: RunConfig) -> int:
     """Total spectrum over a (detuning, frequency) grid as long-format triples.
 
@@ -276,13 +281,15 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
     hi = max(0.0, -detunings.min()) + pad
     nu = np.linspace(lo, hi, int(cfg.spectrum["count"]))
     template = "".join(f"@,{_fmt(x)},%.17g\n" for x in nu.tolist())
+    pd = cfg.params.with_detuning(detunings)
+    lam_plus = rate_coefficients(derive_couplings(pd), pd).lambda_plus
     blocks, gaps = [], []
-    for detuning in map(float, detunings):
-        s_total, lam = _map_row(cfg.params.with_detuning(detuning), nu, ds)
-        if s_total is None:
+    for detuning, lam in zip(detunings.tolist(), lam_plus.tolist()):
+        if lam >= -1e-9 * cfg.params.kappa:
             gaps.append(f"gap: detuning_ueV = {_fmt(detuning)} "
                         f"(lambda_plus = {_fmt(lam)}, moments diverge)")
             continue
+        s_total = total_spectrum(cfg.params.with_detuning(detuning), nu, ds).s_total
         blocks.append(template.replace("@", _fmt(detuning)) % tuple(s_total.tolist()))
     _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
                                           "detuning_ueV = omega21 - omega_c"],
@@ -356,16 +363,15 @@ def _validate_checks(cfg: RunConfig):
     yield ("photon_sum_rule", worst, 1e-9, f"{used} decaying parameter sets")
 
     worst = 0.0
+    eps_grid = np.linspace(-10.0, 10.0, 201)
     for _ in range(max(draws // 10, 5)):
         gamma = rng.uniform(0.01, 0.1)
         kappa = gamma * rng.uniform(1e3, 5e3)
         g_abs = rng.uniform(0.0, 5.0) * math.sqrt(gamma * kappa)
         base = SystemParams(g_abs=g_abs, gamma=gamma, kappa=kappa, eta=1.0)
         q = derive_couplings(base).q
-        eps_grid = np.linspace(-10.0, 10.0, 201)
-        ww = np.array([transition_rate_weak(base.with_reduced_detuning(float(e)))
-                       for e in eps_grid])
-        wf = np.array([fano_formula(q, float(e), gamma) for e in eps_grid])
+        ww = transition_rate_weak(base.with_reduced_detuning(eps_grid))
+        wf = fano_formula(q, eps_grid, gamma)
         # the reference profile vanishes at eps = -q, while the weak-coupling
         # rate has no zero and only dips to a positive floor there, so the
         # pointwise ratio diverges near -q; check outside plus a sup-norm bound
@@ -384,12 +390,12 @@ def _validate_checks(cfg: RunConfig):
     yield ("purcell_identity", worst, 1e-12, "eta=0 weak rate vs Purcell form")
 
     worst = 0.0
+    eps = np.array([0.3, 1.7, 12.0, 77.0])
     for p in sets[: max(draws // 4, 5)]:
         p0 = dataclasses.replace(p, eta=0.0)
-        for eps in (0.3, 1.7, 12.0, 77.0):
-            wp = transition_rate(p0.with_reduced_detuning(eps))
-            wm = transition_rate(p0.with_reduced_detuning(-eps))
-            worst = max(worst, abs(wp - wm) / max(wp, wm))
+        wp = transition_rate(p0.with_reduced_detuning(eps))
+        wm = transition_rate(p0.with_reduced_detuning(-eps))
+        worst = max(worst, float((np.abs(wp - wm) / np.maximum(wp, wm)).max()))
     yield ("symmetry_eta0", worst, 1e-10, "W(eps) = W(-eps) at zero overlap")
 
     worst = 0.0
@@ -401,12 +407,6 @@ def _validate_checks(cfg: RunConfig):
         worst = max(worst, np.abs(tr1.n_e - tr2.n_e).max())
     yield ("dynamics_cross_oracle", worst, 1e-6,
            "equations of motion vs master equation, n_e")
-
-    inject = cfg.validate.get("inject_eta")
-    if inject is not None:
-        bad = collective_decay_min_eigenvalue(1.0, 50.0, float(inject))
-        yield ("collective_decay_psd_injected", -bad / 50.0, 1e-12,
-               f"deliberate eta={inject}: min eigenvalue {bad:.6e}")
 
 
 def cmd_validate(cfg: RunConfig) -> int:

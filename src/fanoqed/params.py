@@ -41,7 +41,8 @@ class SystemParams:
             puts omega21 = 0; every derived quantity depends only on energy
             differences, and an eV-scale absolute offset would only cost
             floating-point accuracy.
-        omega_c: cavity resonance energy (same reference as omega21).
+        omega_c: cavity resonance energy (same reference as omega21); may be
+            a numpy array, over which the rate layer broadcasts.
         g_abs: magnitude of the emitter-cavity coupling, >= 0.
         phi: phase of the coupling g = g_abs * exp(i*phi).
         gamma: radiative decay rate of the emitter, > 0.
@@ -55,7 +56,7 @@ class SystemParams:
     """
 
     omega21: float = 0.0
-    omega_c: float = 0.0
+    omega_c: float | np.ndarray = 0.0
     g_abs: float = 100.0
     phi: float = math.pi / 2
     gamma: float = 0.05
@@ -76,11 +77,13 @@ class SystemParams:
             raise ValueError(f"gamma_ph must be >= 0, got {self.gamma_ph}")
         if self.g_abs < 0.0:
             raise ValueError(f"g_abs must be >= 0, got {self.g_abs}")
-        for name in ("omega21", "omega_c", "g_abs", "phi", "gamma", "kappa",
+        for name in ("omega21", "g_abs", "phi", "gamma", "kappa",
                      "gamma_ph", "eta", "theta21", "theta_c"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+        if not np.isfinite(self.omega_c).all():
+            raise ValueError(f"omega_c must be finite, got {self.omega_c}")
 
     @property
     def g(self) -> complex:
@@ -92,23 +95,24 @@ class SystemParams:
         """omega_c - omega21."""
         return self.omega_c - self.omega21
 
-    def with_reduced_detuning(self, eps: float) -> "SystemParams":
+    def with_reduced_detuning(self, eps) -> "SystemParams":
         """Copy with omega_c placed so that 2*(omega21 - omega_c)/kappa = eps."""
         return replace(self, omega_c=self.omega21 - eps * self.kappa / 2.0)
 
-    def with_detuning(self, omega21_minus_omega_c: float) -> "SystemParams":
-        """Copy with omega21 - omega_c set to the given value (ueV)."""
+    def with_detuning(self, omega21_minus_omega_c) -> "SystemParams":
+        """Copy with omega21 - omega_c set to the given value(s) (ueV)."""
         return replace(self, omega_c=self.omega21 - omega21_minus_omega_c)
 
 
 @dataclass(frozen=True)
 class DerivedCouplings:
-    """Scalar quantities derived once from :class:`SystemParams`.
+    """Quantities derived once from :class:`SystemParams`.
 
     gamma_f is the complex cross-decay rate feeding the interference between
     the direct (emitter) and indirect (cavity) emission channels; g_plus and
     g_minus are the two effective couplings entering the equations of motion;
     q is the (generally complex) asymmetry parameter of the rate profile.
+    eps and detuning have the shape of omega_c; the rest are scalars.
     """
 
     gamma_f: complex
@@ -116,8 +120,8 @@ class DerivedCouplings:
     g_minus: complex
     gamma_tot: float
     q: complex
-    eps: float
-    detuning: float
+    eps: float | np.ndarray
+    detuning: float | np.ndarray
 
 
 def derive_couplings(p: SystemParams) -> DerivedCouplings:
@@ -147,7 +151,7 @@ def derive_couplings(p: SystemParams) -> DerivedCouplings:
     )
 
 
-def reduced_detuning(p: SystemParams) -> float:
+def reduced_detuning(p: SystemParams) -> float | np.ndarray:
     """Detuning in units of the cavity half-width: 2*(omega21 - omega_c)/kappa."""
     return 2.0 * (p.omega21 - p.omega_c) / p.kappa
 

@@ -73,9 +73,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(write_config(tmp_path, {"sweep": {"stop": 1.0, "step": 0.1}}))
     with pytest.raises(ConfigError):
         _from_dict({"params": {"eta": 2.0}})
+    for value in ([0.0, 1.0], True, "5", 10 ** 400):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            _from_dict({"params": {"omega_c": value}})
     for removed in ("fixed_step", "fixed_step_dt", "workers"):
         with pytest.raises(ConfigError, match="unknown config key"):
             _from_dict({removed: 1})
+    with pytest.raises(ConfigError, match="unknown validate key"):
+        _from_dict({"validate": {"inject_eta": 1.5}})
     with pytest.raises(ConfigError):
         _from_dict({"sweep": {"variable": "kappa"}})
     with pytest.raises(ConfigError):
@@ -104,6 +109,13 @@ def test_config_error_exit_code(tmp_path):
     ("spectrum", {"spectrum": {"nu_start": -10.0, "nu_stop": 10.0}}),
     ("validate", {"validate": {"draws": 0}}),
     ("validate", {"validate": {"draws": -3}}),
+    ("rate-sweep", {"sweep": {"start": None}}),
+    ("rate-sweep", {"sweep": {"start": True, "stop": "5"}}),
+    ("rate-sweep", {"sweep": {"stop": 10 ** 400}}),
+    ("spectrum", {"spectrum": {"ds": [20]}}),
+    ("spectrum", {"spectrum": {"nu_start": "-5000", "nu_stop": 5000.0}}),
+    ("spectrum", {"spectrum": {"nu_start": -5000.0, "nu_stop": float("inf")}}),
+    ("spectrum-map", {"map": {"detuning_stop": False}}),
 ])
 def test_bad_section_values_are_config_errors(tmp_path, capsys, command, doc):
     path = write_config(tmp_path, doc)
@@ -353,12 +365,16 @@ def test_validate_passes_and_is_seed_deterministic(tmp_path, capsys):
         assert "[FAIL]" not in capsys.readouterr().out
 
 
-def test_validate_reports_injected_violation(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"validate": {"draws": 40, "inject_eta": 1.5}})
+def test_validate_reports_injected_violation(tmp_path, capsys, monkeypatch):
+    # an unphysical channel pair (eta > 1) on every draw must fail its check
+    original = cli.collective_decay_min_eigenvalue
+    monkeypatch.setattr(cli, "collective_decay_min_eigenvalue",
+                        lambda gamma, kappa, eta, *phases: original(gamma, kappa, 1.5, *phases))
+    cfg = write_config(tmp_path, {"validate": {"draws": 40}})
     assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
     out = capsys.readouterr().out
-    assert "[FAIL] collective_decay_psd_injected" in out
-    assert "min eigenvalue -" in out
+    assert "[FAIL] collective_decay_psd" in out
+    assert "validate: 1 check(s) failed" in out
 
 
 def test_stdout_output(tmp_path, capsys):

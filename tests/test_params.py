@@ -135,6 +135,8 @@ def test_rejects_invalid_parameters():
         SystemParams(g_abs=-5.0)
     with pytest.raises(ValueError):
         SystemParams(omega_c=float("nan"))
+    with pytest.raises(ValueError):
+        SystemParams(omega_c=np.array([0.0, np.nan]))
 
 
 def test_detuning_orientation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,11 +190,35 @@ def test_rate_sweep_degenerate_interval():
 
 
 def test_rate_sweep_rows_match_single_point_operations():
-    p = SystemParams(eta=0.7, gamma_ph=11.0)
-    table = rate_sweep(p, (-40.0, 40.0), 9)
-    for i, eps in enumerate(table.eps):
-        pi = p.with_reduced_detuning(float(eps))
-        dc = derive_couplings(pi)
-        assert table.w_full[i] == transition_rate(pi)
-        assert table.w_weak[i] == transition_rate_weak(pi)
-        assert table.w_fano[i] == fano_formula(dc.q, dc.eps, pi.gamma)
+    # the array path gives the bits of one scalar call per row, also for
+    # complex q (random phases), omega21 != 0 and kappa < gamma (one warning)
+    rng = np.random.default_rng(2020)
+    cases = [SystemParams(eta=0.7, gamma_ph=11.0),
+             SystemParams(gamma=5.0, kappa=1.0, g_abs=0.3, eta=0.5, phi=0.4,
+                          theta_c=1.1, omega21=3.0)]
+    cases += [SystemParams(omega21=rng.uniform(-50.0, 50.0), g_abs=rng.uniform(0.0, 150.0),
+                           phi=rng.uniform(-math.pi, math.pi), gamma=rng.uniform(0.01, 2.0),
+                           kappa=rng.uniform(5.0, 150.0), gamma_ph=rng.uniform(0.0, 40.0),
+                           eta=rng.uniform(0.0, 1.0), theta21=rng.uniform(-math.pi, math.pi),
+                           theta_c=rng.uniform(-math.pi, math.pi)) for _ in range(6)]
+    for p in cases:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            table = rate_sweep(p, (-40.0, 40.0), 201)
+        assert len(record) == (1 if p.kappa < p.gamma else 0)
+        purcell = purcell_rate(p.with_reduced_detuning(table.eps))
+        for i, eps in enumerate(table.eps):
+            pi = p.with_reduced_detuning(float(eps))
+            dc = derive_couplings(pi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                assert table.w_full[i] == transition_rate(pi)
+            assert table.w_weak[i] == transition_rate_weak(pi)
+            assert table.w_fano[i] == fano_formula(dc.q, dc.eps, pi.gamma)
+            assert purcell[i] == purcell_rate(pi)
+    # a square that libm pow rounds differently from x * x is rare (about 1 in
+    # 1000 draws), so the reference profile also gets a long random eps array
+    eps = rng.uniform(-300.0, 300.0, 20000)
+    q = complex(*rng.normal(size=2))
+    assert fano_formula(q, eps, 0.05).tolist() == [fano_formula(q, e, 0.05)
+                                                   for e in eps.tolist()]
