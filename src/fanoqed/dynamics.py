@@ -568,6 +568,8 @@ def coarse_grained_solution(p: SystemParams, t):
     point L+ = L- (the eigenvalues are real, L+ >= L-):
     n_e = exp(L+ t) + (L- + R_pm + kappa) D and n_c = R_pp D.
     """
+    if np.ndim(p.omega_c):
+        raise ValueError("coarse_grained_solution needs a scalar omega_c")
     t = np.asarray(t, float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")

@@ -56,9 +56,12 @@ class CoarseRateSystem:
     lambda_minus: float
 
     def coefficient_matrix(self, p: SystemParams) -> np.ndarray:
-        """The 2x2 generator of (n_c, n_e), for independent eigensolvers."""
-        return np.array([[-(self.r_pm + p.kappa), self.r_pp],
-                         [self.r_mm, -(self.r_mp + p.gamma)]])
+        """The 2x2 generator of (n_c, n_e), for independent eigensolvers.
+
+        An array-valued omega_c gives an (..., 2, 2) stack, one per entry.
+        """
+        return np.stack([np.stack([-(self.r_pm + p.kappa), self.r_pp], -1),
+                         np.stack([self.r_mm, -(self.r_mp + p.gamma)], -1)], -2)
 
 
 def rate_coefficients(dc: DerivedCouplings, p: SystemParams) -> CoarseRateSystem:

@@ -1,26 +1,26 @@
 """Time-integrated emission spectra behind a Lorentzian filter of width ds.
 
-The detected spectrum splits into an emitter part S_21, a cavity part S_c and
-an interference part S_F; all three are rational in the filter variable with
-the same pair of complex poles gamma_p, gamma_m (eigenvalues of the
-single-time generator of (<sigma->, <a>)).  Their weights are set by the
-time-integrated moments I_e, I_c, I_p.  These follow from the equations of
-motion dy/dt = A y of y = (n_c, n_e, Re p, Im p) alone: integrated from 0 to
-infinity they give A I = -y0, with y0 = (0, 1, 0, 0).  That integral is the
-resolvent at zero frequency, where adiabatic elimination of the polarization
-is exact, so the closed forms of the coarse-grained evolution give the same
-moments (see :func:`integrated_moments`).  The frequency-integrated total is
-the emitted photon number, exactly one for an initially excited emitter.
+This is the filtered physical spectrum of Eberly and Wodkiewicz (JOSA 67,
+1252, 1977).  By the quantum regression theorem it is -Re sum_ab
+[(b + M)^-1]_ab V_ab: M is the single-time generator of (<sigma->, <a>),
+b = i(nu + omega21) - ds/2, and V holds the time-integrated moments I_e,
+I_c, I_p weighted by the decay rates.  Split by rate, the emitter part S_21,
+cavity part S_c and interference part S_F are each one fraction
+-Re[(c + d b)/char] over char = det(b + M) = b^2 + b tr M + det M, so no pole
+is computed and coinciding poles need no branch.  The total is one fraction
+over the summed coefficients, a moment-free part plus one pure-dephasing
+term (:func:`total_spectrum`): near the rate antiresonance the three parts
+cancel by up to 1e8, the single fraction does not.
 
-``spectrum_quadrature_oracle`` rebuilds the total spectrum with no use of the
-pole algebra or of the coarse-grained rates: two-time correlators come from
-numerically propagated regression factors C(tau) and the moments solved
-from A I = -y0, and the filter integral is done by composite Gauss-Legendre
-panels that are refined until converged.  The tau sum is evaluated in factored form: the
-correlator kernels fold into one complex weight per node, the node lattice
-tau = (kk*n_r + r) h + o_j splits each phase e^{i nu tau} into three short
-factors, and since that weight has rank 4 between kk and (r, j), the sum
-over each index runs on its own, one 2x2 factor per index and frequency.
+The moments solve A I = -y0: the equations of motion dy/dt = A y of
+y = (n_c, n_e, Re p, Im p), integrated from 0 to infinity with
+y0 = (0, 1, 0, 0).  The coarse-grained closed forms give the same moments
+(:func:`integrated_moments`).  The frequency-integrated total is the emitted
+photon number, exactly one for an initially excited emitter.
+
+:func:`spectrum_quadrature_oracle` rebuilds the total with none of these
+closed forms and none of the coarse-grained rates, from numerically
+propagated regression factors and a panel quadrature in tau.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
 
 
 def _f_coefficients(p: SystemParams, m: IntegratedMoments):
-    """Affine coefficients (c, d) with f_alpha(x) = c_alpha - d_alpha * x."""
+    """Numerator coefficients (c, d): S_alpha = -Re[(c_alpha + d_alpha b)/char]."""
     dc = derive_couplings(p)
     gf, gfc = dc.gamma_f, np.conj(dc.gamma_f)
     pole21 = 1j * p.omega_c + 0.5 * p.kappa            # appears in f_21
@@ -212,27 +212,21 @@ def _f_coefficients(p: SystemParams, m: IntegratedMoments):
     return {"21": (c21, d21), "c": (cc, dc_), "F": (cf, df)}
 
 
+def _pi_c_total(mat: np.ndarray, p: SystemParams, m: IntegratedMoments) -> complex:
+    """pi * sum_alpha c_alpha = M_22 + 2 gamma_ph M_12 I_p (see :func:`total_spectrum`)."""
+    return mat[1, 1] + 2.0 * p.gamma_ph * mat[0, 1] * m.i_p
+
+
 def _component_values(p: SystemParams, nu_rel, ds: float, m: IntegratedMoments):
-    """All three components at the given relative frequencies (dict of arrays)."""
+    """S_21, S_c, S_F and the total at the given relative frequencies (dict)."""
     if ds <= 0.0:
         raise ValueError(f"filter width ds must be positive, got {ds}")
-    nu_abs = np.asarray(nu_rel, float) + p.omega21
-    poles = spectral_poles(p)
-    gp, gm = poles.gamma_p, poles.gamma_m
-    coef = _f_coefficients(p, m)
-    out = {}
-    if abs(gp - gm) < 1e-9 * abs(gp):
-        # confluent pair: derivative of f(x)/(i nu + x - ds/2) at the double pole
-        x = 0.5 * (gp + gm)
-        den = 1j * nu_abs + x - 0.5 * ds
-        for name, (c, d) in coef.items():
-            out[name] = (-d / den - (c - d * x) / den ** 2).real
-    else:
-        den_p = 1j * nu_abs + gp - 0.5 * ds
-        den_m = 1j * nu_abs + gm - 0.5 * ds
-        inv = 1.0 / (gp - gm)
-        for name, (c, d) in coef.items():
-            out[name] = (inv * ((c - d * gp) / den_p - (c - d * gm) / den_m)).real
+    b = 1j * (np.asarray(nu_rel, float) + p.omega21) - 0.5 * ds
+    mat = regression_matrix(p)
+    char = (b + mat[0, 0]) * (b + mat[1, 1]) - mat[0, 1] * mat[1, 0]  # det(b + M)
+    neg_inv = -1.0 / char  # one division shared by all four fractions
+    out = {name: ((c + d * b) * neg_inv).real for name, (c, d) in _f_coefficients(p, m).items()}
+    out["total"] = ((_pi_c_total(mat, p, m) + b) * neg_inv).real / math.pi
     return out
 
 
@@ -241,7 +235,7 @@ def spectrum_component(p: SystemParams, nu, ds: float, which: str,
     """One spectrum component S_which at frequency nu (relative to omega21).
 
     which is "21", "c" or "F"; nu may be a scalar or an array.  Components are
-    real by construction (the real part of a pole expansion).
+    real by construction (the real part of one rational fraction).
     """
     if which not in COMPONENTS:
         raise ValueError(f"which must be one of {COMPONENTS}, got {which!r}")
@@ -252,7 +246,7 @@ def spectrum_component(p: SystemParams, nu, ds: float, which: str,
 
 def component_integral(p: SystemParams, which: str,
                        moments: IntegratedMoments | None = None) -> float:
-    """Exact frequency integral of S_which: -pi Re[(f(g+) - f(g-))/(g+ - g-)].
+    """Exact frequency integral of S_which, pi Re d_which.
 
     Independent of the filter width; the three integrals add up to the
     emitted photon number.
@@ -261,7 +255,8 @@ def component_integral(p: SystemParams, which: str,
         raise ValueError(f"which must be one of {COMPONENTS}, got {which!r}")
     m = moments if moments is not None else integrated_moments(p)
     _, d = _f_coefficients(p, m)[which]
-    # (f(g+) - f(g-))/(g+ - g-) = -d for affine f, including the confluent case
+    # over nu, c/char integrates to zero and -d b/char to pi d: both roots of
+    # char lie on one side of the real nu axis, whether they coincide or not
     return math.pi * complex(d).real
 
 
@@ -288,11 +283,28 @@ def default_frequency_grid(p: SystemParams, ds: float, n: int = 2001) -> np.ndar
 
 def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
                    moments: IntegratedMoments | None = None) -> SpectrumComponents:
-    """All spectrum components plus their sum and the photon-number sum rule.
+    """All spectrum components, their total and the photon-number sum rule.
 
     nu is relative to omega21 and defaults to :func:`default_frequency_grid`;
     a custom grid must cover both resonances with margin >= 10*max(kappa, ds,
     |g|) so that the filter tails and any doublet structure stay inside.
+
+    The total is the single fraction -Re[(pi c_tot + pi d_tot b)/(pi char)]
+    over the summed coefficients, not S_21 + S_c + S_F, which cancel by up to
+    1e8 near the rate antiresonance.  Its numerator is sum_ab adj(b + M)_ab
+    W_ab with W = pi V = G N^T, G = [[gamma, gamma_f*], [gamma_f, kappa]] the
+    collective decay matrix and N = [[I_e, I_p*], [I_p, I_c]] the moments.
+    As adj(b + M) = (b + tr M) 1 - M, pi d_tot = tr W = gamma I_e + kappa I_c
+    + 2 Re(gamma_f I_p) is the sum rule, exactly 1 and taken as 1, and
+    pi c_tot = tr M - sum_ab M_ab W_ab.  A I = -y0 in matrix form is
+    R = M N + N M^H + (1 + 2 gamma_ph I_e) E = 0, E = diag(1, 0), and
+    pi c_tot + tr(adj(M) R) = -(kappa/2 + i omega_c) - 2i gamma_ph g- I_p
+    = M_22 + 2 gamma_ph M_12 I_p for any moments (checked symbolically).  By
+    R_11 = 0, gamma I_e - 1 = 2 Im(g- I_p), the last term is also
+    gamma_ph (gamma I_e - 1 - 2i Re(g- I_p)).  Without dephasing the total is
+    thus -Re[(b + M)^-1]_11 / pi and needs no moments; dephasing adds exactly
+    one term to the interference numerator, the spectral side of the
+    interference that survives pure dephasing.
     """
     if nu is None:
         nu = default_frequency_grid(p, ds)
@@ -308,8 +320,7 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
     vals = _component_values(p, nu, ds, m)
     return SpectrumComponents(
         nu=nu, s21=vals["21"], s_c=vals["c"], s_f=vals["F"],
-        s_total=vals["21"] + vals["c"] + vals["F"],
-        ds=ds, sum_rule=m.sum_rule(p))
+        s_total=vals["total"], ds=ds, sum_rule=m.sum_rule(p))
 
 
 def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
@@ -323,7 +334,8 @@ def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
 
 def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
                   m: IntegratedMoments, phase_per_panel: float) -> np.ndarray:
-    """Total spectrum from regression factors and panel quadrature in tau."""
+    """Total spectrum from regression factors and panel quadrature in tau: per
+    frequency, n_r + #kk + 10 exponentials and about 4 (n_r + #kk) multiply-adds."""
     from scipy.linalg import expm
 
     dc = derive_couplings(p)
@@ -387,25 +399,8 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     QuadratureConvergenceError, whose ``achieved`` and ``rel_tol`` attributes
     carry the achieved estimate and the tolerance.
 
-    The nodes are tau = k h + o_j (panel k of width h, Gauss-Legendre offset
-    o_j).  The four correlator kernels, the filter damping e^{-ds tau/2} and
-    the quadrature weights fold into one complex weight W[k, j] = sum_ab
-    C_ab(tau) V_ab, with V built from gamma, kappa, gamma_f and the moments,
-    so S(nu) = Re sum W e^{i nu tau}.  Writing k = kk*n_r + r with n_r about
-    sqrt(#panels), the damped factor e^{-ds tau/2} C(tau) is A_kk B_r O_j,
-    where B_r and A_kk are powers of the per-panel exponential and of its
-    n_r-th power, each built by doubling, and the phase is e^{i nu kk n_r h}
-    e^{i nu r h} e^{i nu o_j}.  With q_j = w_j V O_j^T the weight is
-    sum_ad A_kk[a, d] (q_j B_r^T)[a, d], of rank 4 between kk and (r, j), so
-    S(nu) = Re sum_acd P_A[a, d] Q[a, c] P_B[d, c] with the 2x2 factors
-    P_A = sum_kk e^{i nu kk n_r h} A_kk, P_B = sum_r e^{i nu r h} B_r and
-    Q = sum_j e^{i nu o_j} q_j; the last, partial kk block pairs with the
-    part of P_B over its own panels.  Each frequency costs n_r + #kk + 10
-    exponentials and about 4 (n_r + #kk) multiply-adds instead of one of
-    each per node, and no sum is a BLAS product, whose threads on a small
-    machine make the timing slow and erratic.  Uniform and non-uniform grids
-    take the same path; the blocks keep the (frequencies x (n_r + #kk))
-    phase tables near ORACLE_BLOCK_ELEMENTS elements.
+    The tau sum runs in factored form, one 2x2 factor per index and frequency
+    and no BLAS product (:func:`_oracle_total`), on any grid.
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """

@@ -305,6 +305,13 @@ def test_coarse_solution_boundary_values(baseline_params):
     assert n_e < 1e-8 and n_c < 1e-8
 
 
+def test_coarse_solution_rejects_array_detuning():
+    # an array omega_c would be paired with t entry by entry, not broadcast
+    p = SystemParams().with_detuning(np.array([-100.0, 0.0, 100.0]))
+    with pytest.raises(ValueError, match="scalar omega_c"):
+        coarse_grained_solution(p, np.array([0.0, 1e-3, 2e-3]))
+
+
 def test_coarse_solution_confluent_branch():
     # g=0, eta=0, kappa=gamma makes the two eigenvalues exactly degenerate
     p = SystemParams(g_abs=0.0, eta=0.0, gamma=1.0, kappa=1.0)

@@ -45,6 +45,16 @@ def test_eigenvalues_match_independent_solver(rng):
         assert abs(ev[0] - cs.lambda_minus) <= 1e-10 * scale
 
 
+def test_coefficient_matrix_stacks_over_array_detuning():
+    detunings = np.array([-100.0, 0.0, 100.0])
+    pa = SystemParams().with_detuning(detunings)
+    stack = rate_coefficients(derive_couplings(pa), pa).coefficient_matrix(pa)
+    assert stack.shape == (3, 2, 2)
+    for d, got in zip(detunings.tolist(), stack):
+        p = SystemParams().with_detuning(d)
+        assert np.array_equal(got, rate_coefficients(derive_couplings(p), p).coefficient_matrix(p))
+
+
 def test_vieta_identities(rng):
     for _ in range(300):
         p = random_valid_params(rng)
@@ -97,7 +107,7 @@ def test_reference_profile_values():
     peak = fano_formula(3.0, 1.0 / 3.0, 0.05)
     assert abs(peak - 10 * 0.05) < 1e-14
     grid = np.linspace(-30, 30, 200001)
-    numeric_max = max(fano_formula(3.0, float(e), 0.05) for e in grid)
+    numeric_max = fano_formula(3.0, grid, 0.05).max()
     assert numeric_max <= peak + 1e-10
     with pytest.raises(ValueError):
         fano_formula(3.0, 0.0, 0.0)

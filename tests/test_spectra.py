@@ -10,9 +10,10 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients,
                      spectral_poles, regression_matrix, integrated_moments,
                      spectrum_component, component_integral, total_spectrum,
                      default_frequency_grid, spectrum_quadrature_oracle,
-                     DivergentMomentsError, QuadratureConvergenceError)
+                     IntegratedMoments, DivergentMomentsError,
+                     QuadratureConvergenceError)
 from fanoqed.dynamics import triple_generator_matrix
-from fanoqed.spectra import _f_coefficients, _oracle_total
+from fanoqed.spectra import _f_coefficients, _oracle_total, _pi_c_total
 from conftest import random_valid_params
 
 DS = 20.0
@@ -208,6 +209,95 @@ def test_total_spectrum_structure(baseline_params):
     assert abs(np.trapezoid(comp.s_total, comp.nu) - comp.sum_rule) < 0.02
 
 
+def test_summed_numerator_identity(rng):
+    # pi c_tot reduced by A I = -y0 against pi times the sum of the three
+    # components' c, with complex q (random phases), omega21 != 0 and dephasing
+    checked = 0
+    while checked < 200:
+        p = SystemParams(
+            omega21=rng.uniform(-500.0, 500.0), g_abs=rng.uniform(0.0, 150.0),
+            phi=rng.uniform(0.0, 2 * math.pi), gamma=rng.uniform(0.01, 2.0),
+            kappa=rng.uniform(5.0, 150.0), gamma_ph=rng.uniform(0.0, 40.0),
+            eta=rng.uniform(0.0, 1.0), theta21=rng.uniform(0.0, 2 * math.pi),
+            theta_c=rng.uniform(0.0, 2 * math.pi),
+        ).with_reduced_detuning(rng.uniform(-200.0, 200.0))
+        dc = derive_couplings(p)
+        if rate_coefficients(dc, p).lambda_plus >= -1e-6 * p.kappa:
+            continue
+        checked += 1
+        m = integrated_moments(p)
+        coef = _f_coefficients(p, m).values()
+        pi_c = math.pi * sum(c for c, _ in coef)
+        assert abs(_pi_c_total(regression_matrix(p), p, m) - pi_c) <= 1e-12 * abs(pi_c)
+        # the dephasing term rewritten through the emitter row of A I = -y0
+        alt = -(0.5 * p.kappa + 1j * p.omega_c) + p.gamma_ph * (
+            p.gamma * m.i_e - 1.0 - 2j * (dc.g_minus * m.i_p).real)
+        assert abs(alt - pi_c) <= 1e-12 * abs(pi_c)
+        assert abs(math.pi * sum(d for _, d in coef) - 1.0) <= 1e-12
+
+
+def _mp_resolvent_total(p, nu, ds):
+    """Total spectrum at 50 digits from the resolvent of the regression matrix.
+
+    The moments solve A I = -y0 at 50 digits.  A and M are built at 50 digits
+    from the float parameters, with the entries of triple_generator_matrix
+    and regression_matrix: rounding them to float first would perturb the
+    system by parts in 1e16, which the near-singular A of the rate zero
+    amplifies to 1e-8 of the peak.  No spectrum coefficient, pole or reduced
+    numerator is used.  Returns the spectrum and the moments rounded to float.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        g = p.g_abs * mp.expj(p.phi)
+        gf = mp.expj(mp.mpf(p.theta21) - p.theta_c) * mp.sqrt(mp.mpf(p.eta) * p.gamma * p.kappa)
+        g_plus, g_minus = g + 0.5j * gf, g - 0.5j * gf
+        gam = (mp.mpf(p.gamma) + p.kappa) / 2 + p.gamma_ph
+        w = mp.mpf(p.omega_c) - p.omega21
+        cp, cm, a_ne, a_nc = 1j * g_plus, -1j * g_minus, -1j * mp.conj(g_plus), 1j * mp.conj(g_minus)
+        a = mp.matrix([[-p.kappa, 0, 2 * cp.real, -2 * cp.imag],
+                       [0, -p.gamma, 2 * cm.real, -2 * cm.imag],
+                       [a_nc.real, a_ne.real, -gam, w],
+                       [a_nc.imag, a_ne.imag, -w, -gam]])
+        i_c, i_e, re_p, im_p = mp.lu_solve(a, mp.matrix([0, -1, 0, 0]))
+        i_p = mp.mpc(re_p, im_p)
+        mat = mp.matrix([[-1j * mp.mpf(p.omega21) - mp.mpf(p.gamma) / 2 - p.gamma_ph,
+                          -1j * g - gf / 2],
+                         [-1j * mp.conj(g) - mp.conj(gf) / 2,
+                          -1j * mp.mpf(p.omega_c) - mp.mpf(p.kappa) / 2]])
+        # correlator weights: emitter, cavity and both interference kernels
+        v = mp.matrix([[p.gamma * i_e + mp.conj(gf * i_p), p.gamma * i_p + mp.conj(gf) * i_c],
+                       [p.kappa * mp.conj(i_p) + gf * i_e, p.kappa * i_c + gf * i_p]])
+        out = []
+        for x in nu.tolist():
+            b = 1j * (mp.mpf(x) + p.omega21) - mp.mpf(ds) / 2
+            k = mp.inverse(-b * mp.eye(2) - mat)
+            out.append(float(mp.re(sum(k[i, j] * v[i, j] for i in range(2) for j in range(2)))
+                             / mp.pi))
+        moments = IntegratedMoments(i_e=float(i_e), i_c=float(i_c), i_p=complex(i_p))
+    return np.array(out), moments
+
+
+def test_total_near_rate_zero_against_50_digits():
+    # at the default rate zero (eps0 = -Re(q)(1 - gamma/kappa)) the three parts
+    # reach up to 1e14 times the total; the single fraction stays at rounding
+    base = SystemParams()
+    zero = -derive_couplings(base).q.real * (1.0 - base.gamma / base.kappa) * 0.5 * base.kappa
+    nu = np.linspace(-1100.0, 4300.0, 109)
+    for offset in (-10.0, -1.0, -1e-2, -1e-3, 1e-3, 0.1, 1.0, 10.0):
+        p = base.with_detuning(zero + offset)
+        ref, m_ref = _mp_resolvent_total(p, nu, DS)
+        # within about 0.3 ueV integrated_moments reads the coarse evolution as
+        # non-decaying and raises; without dephasing the total does not use them
+        got = total_spectrum(p, nu, DS, moments=None if abs(offset) >= 1.0 else m_ref)
+        assert np.abs(got.s_total - ref).max() <= 1e-13 * np.abs(ref).max()
+    # with dephasing the moments stay finite at the zero and enter the total
+    for gamma_ph in (5.0, 30.0):
+        p = SystemParams(gamma_ph=gamma_ph).with_detuning(zero)
+        ref, _ = _mp_resolvent_total(p, nu, DS)
+        got = total_spectrum(p, nu, DS).s_total
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_total_spectrum_rejects_narrow_grid(baseline_params):
     with pytest.raises(ValueError):
         total_spectrum(baseline_params, np.linspace(-50.0, 50.0, 101), DS)
@@ -256,7 +346,7 @@ def test_resonant_doublet_asymmetry():
 
 def test_components_real_from_alternative_evaluation_order():
     # rebuild each component from the resolvent of the regression matrix and
-    # check the pole-expansion route leaks no imaginary residue
+    # check the single-fraction route leaks no imaginary residue
     for p in (detuned(30.0), SystemParams(gamma_ph=4.0).with_reduced_detuning(3.0)):
         m = integrated_moments(p)
         mat = regression_matrix(p)
@@ -281,7 +371,9 @@ def test_components_real_from_alternative_evaluation_order():
 
 def test_confluent_pole_branch_continuous():
     # (kappa-gamma)/2 - gamma_ph = 2|g| with zero detuning makes the two
-    # poles exactly degenerate (all quantities chosen exactly representable)
+    # poles exactly degenerate (all quantities chosen exactly representable);
+    # the fractions over det(b + M) take no branch there, and must agree with
+    # a set whose poles are just apart
     p = SystemParams(g_abs=8.0, gamma=4.0, kappa=40.0, gamma_ph=2.0,
                      eta=0.0, omega_c=0.0)
     poles = spectral_poles(p)
