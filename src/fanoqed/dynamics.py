@@ -16,13 +16,13 @@ Two independent routes are provided and cross-checked against each other:
 
 Both generators are linear and time independent, so the default integrator
 propagates with matrix exponentials: one batched scaling-and-squaring Pade
-evaluation for all distinct gaps of the grid, then a prefix-product scan of
-those hops for all samples, both numpy operations on stacks of small
-matrices.  The exponentials are backward stable: every eigenvalue carries an
-absolute error of order eps*||A||, harmless for modes that decay at the
-generator's scale but amplified by t for a mode far slower than it, such as
-the one at the rate antiresonance.  Such slow modes are split off and
-propagated by their own refined generator (see ``_propagate_expm``).
+evaluation for all distinct gaps of the grid, then a blocked scan that
+carries the state through those hops (``_hop``).  The exponentials are
+backward stable: every eigenvalue carries an absolute error of order
+eps*||A||, harmless for modes that decay at the generator's scale but
+amplified by t for a mode far slower than it, such as the one at the rate
+antiresonance.  Such slow modes, where an eigenvalue screen finds any, are
+split off and hopped by their own refined generator (``_propagate_expm``).
 Adaptive DOP853 (scipy's solve_ivp) is kept as the independent cross-check.
 In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, so the two
 routes must agree to integrator accuracy.
@@ -37,7 +37,7 @@ import numpy as np
 
 # scipy is imported inside the functions that call it: `import fanoqed` stays
 # cheap for the commands that never propagate
-from .params import SystemParams, derive_couplings
+from .params import SystemParams, _require_scalar_omega_c, derive_couplings
 from .rates import rate_coefficients
 
 __all__ = [
@@ -150,6 +150,7 @@ class Trajectory:
 
 def hamiltonian_matrix(p: SystemParams) -> np.ndarray:
     """System Hamiltonian on the one-excitation basis (3x3 complex)."""
+    _require_scalar_omega_c(p, "hamiltonian_matrix")
     h = np.diag([0.5 * p.omega21,
                  p.omega_c - 0.5 * p.omega21,
                  -0.5 * p.omega21]).astype(complex)
@@ -166,6 +167,7 @@ def triple_generator_matrix(p: SystemParams) -> np.ndarray:
         dn_e/dt = 2 Re(-i g- p) - gamma n_e
         dp/dt   = -i g+* n_e + i g-* n_c - (i detuning + Gamma_tot) p.
     """
+    _require_scalar_omega_c(p, "triple_generator_matrix")
     dc = derive_couplings(p)
     cp = 1j * dc.g_plus
     cm = -1j * dc.g_minus
@@ -188,6 +190,7 @@ def lindblad_generator(p: SystemParams):
     is equivalent to a single collective jump operator
     sqrt(gamma)*sigma- + exp(i(theta21 - theta_c))*sqrt(kappa)*a.
     """
+    _require_scalar_omega_c(p, "lindblad_generator")
     dc = derive_couplings(p)
     h = hamiltonian_matrix(p)
     gamma, kappa, gph = p.gamma, p.kappa, p.gamma_ph
@@ -214,6 +217,7 @@ def lindblad_generator(p: SystemParams):
 
 def liouvillian_matrix(p: SystemParams) -> np.ndarray:
     """9x9 complex matrix form of the master-equation generator."""
+    _require_scalar_omega_c(p, "liouvillian_matrix")
     # one call on the stack of the nine basis matrices: the image of basis
     # matrix k, raveled, is row k of the result and column k of the matrix
     basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
@@ -279,12 +283,15 @@ def _slow_modes(a: np.ndarray):
     T11 from T22.  gen is one two-sided block Rayleigh-quotient step from T11,
     T11 + W1 (A Q1 - Q1 T11), with the residual computed by Dot2: T11 itself
     carries the eps*||A|| error that the split is there to remove.  k = 0
-    gives empty arrays.
+    gives empty arrays, without the Schur form when every |eigvals(A)| clears
+    twice the cut: their error of about eps*||A|| is far below that margin.
     """
     from scipy.linalg import schur, solve_sylvester
 
     n = len(a)
     cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
+    if np.abs(np.linalg.eigvals(a)).min() >= 2.0 * cut:
+        return np.empty((n, 0)), np.empty((0, n)), np.empty((0, 0))
     t, z, k = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)
     basis, t11 = z[:, :k], t[:k, :k]
     proj = basis.T
@@ -369,15 +376,28 @@ def _expm_stack(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def _hop(hops: np.ndarray, hop_index: np.ndarray, y: np.ndarray) -> np.ndarray:
     """ys[0] = y, ys[j + 1] = hops[hop_index[j]] @ ys[j], as a (len + 1, n) array.
 
-    The products hops[hop_index[j]] @ ... @ hops[hop_index[0]] come from a
-    Hillis-Steele inclusive scan, log2(len) batched matmuls of small matrices.
+    A blocked scan on the state, over blocks of L ~ sqrt(len) hops (a power of
+    two; the padding of the last block feeds only results that are dropped).
+    A pairwise tree of batched matmuls forms each block's total, one mat-vec
+    per block carries the state across the blocks, and one batched mat-vec
+    per position fills all blocks: O(len) small products in about 2 sqrt(len)
+    numpy calls.
     """
-    prod = hops[hop_index]
-    k = 1
-    while k < len(prod):
-        prod[k:] = prod[k:] @ prod[:-k]
-        k *= 2
-    return np.vstack([y, prod @ y])
+    m, n = len(hop_index), len(y)
+    size = 1 << (m.bit_length() // 2)
+    blocks = -(-m // size)
+    steps = hops[np.pad(hop_index, (0, blocks * size - m))].reshape(blocks, size, n, n)
+    total = steps
+    while total.shape[1] > 1:
+        total = total[:, 1::2] @ total[:, ::2]
+    state = np.empty((blocks, n, 1))
+    state[0] = y[:, None]
+    for b in range(1, blocks):
+        state[b] = total[b - 1, 0] @ state[b - 1]
+    ys = np.empty((blocks, size, n, 1))
+    for j in range(size):
+        state = ys[:, j] = steps[:, j] @ state
+    return np.vstack([y, ys.reshape(-1, n)[:m]])
 
 
 def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
@@ -385,8 +405,8 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
     """Linear propagation y(t_k) by matrix exponentials of the distinct gaps.
 
     One batched call of _expm_stack gives expm(A dt) for every distinct gap;
-    the samples are then the prefix products of these hops applied to y0,
-    from one scan (_hop).  The Pade exponential is backward stable, so an
+    the samples are then these hops applied to y0 in turn, by one blocked
+    scan (_hop).  The Pade exponential is backward stable, so an
     eigenvalue l with |l| << ||A|| is off by ~eps*||A||, which the hops turn
     into a state error growing like eps*||A||*t.  Step halving cannot see
     it: at the rate antiresonance whole-generator hops pass that check with
@@ -452,6 +472,7 @@ def evolve_triple(p: SystemParams, init: BlochTriple | None = None,
     bytes) or "dop853" (adaptive solve_ivp at the given tolerances, the
     independent cross-check).
     """
+    _require_scalar_omega_c(p, "evolve_triple")
     if init is None:
         init = BlochTriple(n_e=1.0, n_c=0.0, pol=0.0)
     t = _check_t_grid(t_grid)
@@ -462,6 +483,15 @@ def evolve_triple(p: SystemParams, init: BlochTriple | None = None,
         t=t, n_e=ys[1], n_c=ys[0], pol=ys[2] + 1j * ys[3],
         metadata={**info, "rtol": rtol, "atol": atol,
                   "equations": "bloch-triple", "params": p})
+
+
+def _lowest_eigenvalues(rhos: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each rho without ground coherences, in closed form.
+
+    rho is [[a, c], [c*, b]] plus rho_00: min(rho_00, (a+b)/2 - hypot((a-b)/2, |c|)).
+    """
+    a, b, c = rhos[:, 0, 0].real, rhos[:, 1, 1].real, np.abs(rhos[:, 0, 1])
+    return np.minimum(rhos[:, 2, 2].real, 0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
 
 
 def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
@@ -478,11 +508,12 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     (rho_e0, rho_10) as a real 4x4 only when rho0 has ground coherences, and
     rho_00 comes from the trace.  Each sampled density matrix is thus
     Hermitian with the initial trace by construction (the recorded defects
-    stay at rounding level), and its eigenvalues are checked to stay above
-    -positivity_abort (violations raise PositivityError with the offending
-    time).  With return_states=True the sampled 3x3 matrices are returned
-    alongside the trajectory.
+    stay at rounding level).  Its lowest eigenvalue, in closed form without
+    ground coherences and by eigvalsh with them, must stay above
+    -positivity_abort (else PositivityError with the offending time).  With
+    return_states=True the sampled 3x3 matrices are returned alongside.
     """
+    _require_scalar_omega_c(p, "evolve_lindblad")
     if rho0 is None:
         rho0 = excited_state_dm()
     rho0 = np.asarray(rho0, complex)
@@ -522,7 +553,7 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     rhos[:, 0, 1] = ys[2] + 1j * ys[3]
     rhos[:, 2, 2] = np.trace(rho0).real - ys[0] - ys[1]
     z0 = rho0[:2, 2]
-    if np.any(z0 != 0.0):
+    if np.any(z0):
         c = liou[np.ix_(coh, coh)]
         zs, info_coh = _propagate(np.block([[c.real, -c.imag], [c.imag, c.real]]),
                                   np.concatenate([z0.real, z0.imag]), t, method, rtol, atol)
@@ -535,12 +566,12 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
 
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
     tr_err = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()
-    eigs = np.linalg.eigvalsh(rhos)
-    min_eig = float(eigs.min())
+    lowest = np.linalg.eigvalsh(rhos)[:, 0] if np.any(z0) else _lowest_eigenvalues(rhos)
+    k = int(np.argmin(lowest))
+    min_eig = float(lowest[k])
     if min_eig < -positivity_abort:
-        k = int(np.argmin(eigs.min(axis=1)))
         raise PositivityError(
-            f"density matrix eigenvalue {eigs.min():.3e} < -{positivity_abort:.1e} "
+            f"density matrix eigenvalue {min_eig:.3e} < -{positivity_abort:.1e} "
             f"at t = {t[k]:.6e}")
 
     traj = Trajectory(
@@ -568,8 +599,7 @@ def coarse_grained_solution(p: SystemParams, t):
     point L+ = L- (the eigenvalues are real, L+ >= L-):
     n_e = exp(L+ t) + (L- + R_pm + kappa) D and n_c = R_pp D.
     """
-    if np.ndim(p.omega_c):
-        raise ValueError("coarse_grained_solution needs a scalar omega_c")
+    _require_scalar_omega_c(p, "coarse_grained_solution")
     t = np.asarray(t, float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")

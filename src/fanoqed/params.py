@@ -42,7 +42,8 @@ class SystemParams:
             differences, and an eV-scale absolute offset would only cost
             floating-point accuracy.
         omega_c: cavity resonance energy (same reference as omega21); may be
-            a numpy array, over which the rate layer broadcasts.
+            a numpy array, over which the rate layer broadcasts.  Functions
+            that need a scalar omega_c raise ValueError saying so.
         g_abs: magnitude of the emitter-cavity coupling, >= 0.
         phi: phase of the coupling g = g_abs * exp(i*phi).
         gamma: radiative decay rate of the emitter, > 0.
@@ -149,6 +150,12 @@ def derive_couplings(p: SystemParams) -> DerivedCouplings:
         eps=reduced_detuning(p),
         detuning=p.omega_c - p.omega21,
     )
+
+
+def _require_scalar_omega_c(p: SystemParams, name: str) -> None:
+    """Raise ValueError naming the caller, which does not broadcast over omega_c."""
+    if np.ndim(p.omega_c):
+        raise ValueError(f"{name} needs a scalar omega_c")
 
 
 def reduced_detuning(p: SystemParams) -> float | np.ndarray:

@@ -13,8 +13,9 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients, transiti
                      excited_state_dm, vacuum_state_dm, hamiltonian_matrix,
                      triple_generator_matrix, TooFewExtremaError,
                      EnvelopeFitError)
-from fanoqed.dynamics import (SIGMA_MINUS, A_OP, SIGMA_Z, _PADE, _expm_stack, _hop,
-                              _matmul_dot2)
+from fanoqed.dynamics import (SIGMA_MINUS, A_OP, SIGMA_Z, SLOW_MODE_RATIO, _PADE,
+                              _expm_stack, _hop, _lowest_eigenvalues, _matmul_dot2,
+                              _slow_modes)
 from conftest import random_valid_params
 
 
@@ -118,6 +119,20 @@ def test_detuned_uniform_grids_match_exact_propagation():
                 assert np.abs(traj.n_c[sampled] - exact[:, 0].real).max() <= 1e-14
 
 
+def test_default_dynamics_window_matches_exact_propagation():
+    # the `dynamics` subcommand's default window, 2001 samples over t <= 0.5 at
+    # the defaults; the bound is below the 1.55e-15 that full prefix products
+    # (a Hillis-Steele scan) reach on these samples
+    p = SystemParams()
+    t = np.linspace(0.0, 0.5, 2001)
+    sampled = np.arange(0, len(t), 10)
+    traj = evolve_triple(p, t_grid=t)
+    exact = _exact_propagation(triple_generator_matrix(p), np.array([0.0, 1.0, 0.0, 0.0]),
+                               t[sampled])
+    assert np.abs(traj.n_e[sampled] - exact[:, 1].real).max() <= 1.5e-15
+    assert np.abs(traj.n_c[sampled] - exact[:, 0].real).max() <= 1.5e-15
+
+
 def test_ground_coherence_block_matches_exact_propagation():
     # rho0 = |psi><psi| with psi ~ |e,0> + |g,0> carries ground coherences,
     # so the second block is propagated; every entry of rho, rho_00 from the
@@ -145,6 +160,42 @@ def test_slow_modes_and_expm_defect_in_metadata():
             meta = evolve(p, t_grid=t).metadata
             assert meta["slow_modes"] == slow, (evolve.__name__, p)
             assert 0.0 <= meta["expm_defect"] < 1e-6
+
+
+def test_slow_mode_screen_keeps_every_slow_mode(rng, monkeypatch):
+    # every generator that either route hands to _slow_modes, on the 12
+    # criterion-5 sets and on seeded draws, with and without ground
+    # coherences: the eigvals screen must give the count of the full ordered
+    # Schur form, so it never drops a slow mode.  The draws at eta = 1,
+    # gamma_ph = 0 and eps in [-260, -90] put min|l|/||A||_1 at 5e-7 to 3e-6,
+    # across the cut and the screen's margin of twice the cut
+    from scipy.linalg import schur
+    import fanoqed.dynamics as dyn
+    seen = []
+    monkeypatch.setattr(dyn, "_slow_modes", lambda a: seen.append(a) or _slow_modes(a))
+    c5 = [SystemParams(eta=eta, gamma_ph=gph).with_reduced_detuning(eps)
+          for eta in (0.0, 1.0) for gph in (0.0, 30.0) for eps in (0.0, 126.4, -126.4)]
+    draws = [random_valid_params(rng) for _ in range(12)]
+    edge = [SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(rng.uniform(-260, -90))
+            for _ in range(12)]
+    psi = np.array([1.0, 0.0, 1.0], complex) / math.sqrt(2.0)
+    for p in c5 + draws + edge:
+        t = np.linspace(0.0, 10.0 / transition_rate(p), 11)
+        evolve_triple(p, t_grid=t)
+        evolve_lindblad(p, t_grid=t)
+        evolve_lindblad(p, np.outer(psi, psi.conj()), t)   # both blocks
+    counts = []
+    for a in seen:
+        cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
+        full = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)[2]
+        counts.append(len(_slow_modes(a)[2]))
+        assert counts[-1] == full
+    # per set: triple, one-excitation block, then both blocks of the coherent run
+    counts = np.array(counts).reshape(-1, 4)
+    expected = np.zeros((len(c5), 4), int)
+    expected[8, :3] = 1     # eta = 1, gamma_ph = 0, eps = -126.4: the antiresonance
+    assert np.array_equal(counts[:len(c5)], expected)
+    assert 0 < counts[-len(edge):, 0].sum() < len(edge)
 
 
 def _block_order_blocks(liou):
@@ -260,7 +311,7 @@ def test_expm_stack_is_accurate_near_the_identity():
 
 def test_hop_scan_matches_sequential_hops():
     # the criterion-5 graded grid on the antiresonance, whose generator has
-    # a slow mode, with y0 on it: every sample is the scan's prefix product
+    # a slow mode, with y0 on it: every sample is the hops so far applied to y0
     a = _kernel_generators()[1]
     horizon = 10.0 / transition_rate(
         SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(-126.4))
@@ -276,6 +327,25 @@ def test_hop_scan_matches_sequential_hops():
     got = _hop(hops, hop_index, ref[0])
     assert got.shape == (len(t), 4)
     assert np.abs(got - np.array(ref)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_blocked_scan_matches_sequential_hops_at_block_edges(n, rng):
+    # lengths at the edges of the power-of-two block sizes (1, 2, 2, 2, 2, 8,
+    # 8, 8 and 32 hops per block), with and without a padded last block; n = 1
+    # is the shape of a single slow-mode amplitude
+    a = triple_generator_matrix(SystemParams())[:n, :n]
+    hops = _expm_stack(a, np.array([1e-4, 3e-4, 1e-3]))
+    for m in (1, 2, 3, 4, 5, 63, 64, 65, 2000):
+        hop_index = rng.integers(0, len(hops), m)
+        y = rng.normal(size=n)
+        ref = [y]
+        for i in hop_index:
+            ref.append(hops[i] @ ref[-1])
+        got = _hop(hops, hop_index, ref[0])
+        assert got.shape == (m + 1, n)
+        assert np.array_equal(got[0], ref[0])
+        assert np.abs(got - np.array(ref)).max() <= 1e-14, m
 
 
 def test_compensated_matmul_is_twice_working_precision(rng):
@@ -305,11 +375,26 @@ def test_coarse_solution_boundary_values(baseline_params):
     assert n_e < 1e-8 and n_c < 1e-8
 
 
-def test_coarse_solution_rejects_array_detuning():
-    # an array omega_c would be paired with t entry by entry, not broadcast
-    p = SystemParams().with_detuning(np.array([-100.0, 0.0, 100.0]))
-    with pytest.raises(ValueError, match="scalar omega_c"):
-        coarse_grained_solution(p, np.array([0.0, 1e-3, 2e-3]))
+def test_scalar_only_functions_reject_array_detuning():
+    # the dynamics layer does not broadcast over omega_c: each function names
+    # itself in a ValueError instead of failing inside numpy, and
+    # coarse_grained_solution would otherwise pair detuning i with time i
+    t = np.array([0.0, 1e-3, 2e-3])
+    table = {
+        "hamiltonian_matrix": hamiltonian_matrix,
+        "triple_generator_matrix": triple_generator_matrix,
+        "lindblad_generator": lindblad_generator,
+        "liouvillian_matrix": liouvillian_matrix,
+        "evolve_triple": lambda p: evolve_triple(p, t_grid=t),
+        "evolve_lindblad": lambda p: evolve_lindblad(p, t_grid=t),
+        "coarse_grained_solution": lambda p: coarse_grained_solution(p, t),
+    }
+    scalar = SystemParams().with_detuning(-100.0)
+    array = SystemParams().with_detuning(np.array([-100.0, 0.0, 100.0]))
+    for name, call in table.items():
+        call(scalar)
+        with pytest.raises(ValueError, match=f"^{name} needs a scalar omega_c$"):
+            call(array)
 
 
 def test_coarse_solution_confluent_branch():
@@ -452,10 +537,44 @@ def test_positivity_guard_reports_time_and_eigenvalue(baseline_params):
     # physical evolutions stay positive; drive the guard with an impossible
     # threshold to exercise the abort path and its diagnostic
     from fanoqed import PositivityError
+    t = np.linspace(0.0, 0.1, 11)
     with pytest.raises(PositivityError) as err:
-        evolve_lindblad(baseline_params, t_grid=np.linspace(0.0, 0.1, 11),
-                        positivity_abort=-1e-3)
+        evolve_lindblad(baseline_params, t_grid=t, positivity_abort=-1e-3)
     assert "at t =" in str(err.value)
+    # mixed states, whose lowest eigenvalue has one clear minimum in time: the
+    # closed form (no ground coherences) and eigvalsh (with them) must report
+    # the eigenvalue and time that eigvalsh gives
+    psi = np.array([0.6, 0.0, 0.8], complex)
+    for rho0 in (np.diag([0.6, 0.3, 0.1]).astype(complex),
+                 0.5 * np.outer(psi, psi) + np.diag([0.1, 0.4, 0.0])):
+        _, rhos = evolve_lindblad(baseline_params, rho0, t, return_states=True)
+        lowest = np.linalg.eigvalsh(rhos)[:, 0]
+        k = int(np.argmin(lowest))
+        with pytest.raises(PositivityError) as err:
+            evolve_lindblad(baseline_params, rho0, t, positivity_abort=-1.0)
+        assert str(err.value) == (f"density matrix eigenvalue {lowest[k]:.3e} < --1.0e+00 "
+                                  f"at t = {t[k]:.6e}")
+
+
+def test_closed_form_lowest_eigenvalue_matches_eigvalsh(rng):
+    # seeded states without ground coherences: rho_00 plus a 2x2 block with
+    # |rho_e1|^2 <= rho_ee rho_11, and near-pure ones where |rho_e1|^2 =
+    # rho_ee rho_11 and rho_00 -> 0, whose lowest eigenvalue is a cancellation
+    n, h = 2000, 1000
+    pop = rng.dirichlet([1.0, 1.0, 1.0], n)
+    pop[h:, 2] = np.geomspace(1e-3, 1e-300, n - h) * rng.uniform(0, 1, n - h)
+    pop[h:, 0] = rng.uniform(0, 1, n - h) * (1.0 - pop[h:, 2])
+    pop[h:, 1] = 1.0 - pop[h:, 0] - pop[h:, 2]
+    purity = np.where(np.arange(n) < h, rng.uniform(0, 1, n), 1.0)
+    rhos = np.zeros((n, 3, 3), complex)
+    rhos[:, 0, 0], rhos[:, 1, 1], rhos[:, 2, 2] = pop.T
+    rhos[:, 0, 1] = (np.sqrt(purity * pop[:, 0] * pop[:, 1])
+                     * np.exp(2j * np.pi * rng.uniform(size=n)))
+    rhos[:, 1, 0] = rhos[:, 0, 1].conj()
+    _, states = evolve_lindblad(SystemParams(gamma_ph=11.0), t_grid=np.linspace(0.0, 1.0, 401),
+                                return_states=True)
+    for r in (rhos, states):
+        assert np.abs(_lowest_eigenvalues(r) - np.linalg.eigvalsh(r).min(axis=1)).max() <= 1e-15
 
 
 def test_density_matrix_invariants_along_evolution(rng):
