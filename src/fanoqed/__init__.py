@@ -16,7 +16,6 @@ Energies and rates are in ueV with hbar = 1; time is in units of 1/ueV.
 """
 
 from .params import (
-    HBAR_UEV_FS,
     HBAR_UEV_PS,
     SystemParams,
     DerivedCouplings,
@@ -37,14 +36,12 @@ from .rates import (
     rate_sweep,
 )
 from .dynamics import (
-    BlochTriple,
     Trajectory,
     IntegrationError,
     PositivityError,
     TooFewExtremaError,
     EnvelopeFitError,
     excited_state_dm,
-    vacuum_state_dm,
     hamiltonian_matrix,
     triple_generator_matrix,
     lindblad_generator,
@@ -74,15 +71,15 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HBAR_UEV_FS", "HBAR_UEV_PS",
+    "HBAR_UEV_PS",
     "SystemParams", "DerivedCouplings", "derive_couplings", "reduced_detuning",
     "collective_decay_matrix", "collective_decay_min_eigenvalue",
     "CoarseRateSystem", "RateSweepTable", "RegimeWarning",
     "rate_coefficients", "transition_rate", "transition_rate_weak",
     "purcell_rate", "fano_formula", "rate_sweep",
-    "BlochTriple", "Trajectory", "IntegrationError", "PositivityError",
+    "Trajectory", "IntegrationError", "PositivityError",
     "TooFewExtremaError", "EnvelopeFitError",
-    "excited_state_dm", "vacuum_state_dm", "hamiltonian_matrix",
+    "excited_state_dm", "hamiltonian_matrix",
     "triple_generator_matrix", "lindblad_generator", "liouvillian_matrix",
     "evolve_triple", "evolve_lindblad", "coarse_grained_solution",
     "adiabatic_polarization", "envelope_decay_rate",

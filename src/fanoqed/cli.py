@@ -50,7 +50,7 @@ EXIT_NUMERIC = 3
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
 _SECTION_KEYS = {
-    "sweep": ("variable", "start", "stop", "count"),
+    "sweep": ("start", "stop", "count"),
     "dynamics": ("t_max", "count"),
     "spectrum": ("ds", "nu_start", "nu_stop", "count"),
     "map": ("detuning_start", "detuning_stop", "count"),
@@ -75,11 +75,10 @@ class RunConfig:
     """Fully resolved run configuration (defaults filled in)."""
 
     params: SystemParams = field(default_factory=SystemParams)
-    command: str | None = None
     out: str | None = None
     seed: int = 12345
     sweep: dict = field(default_factory=lambda: {
-        "variable": "eps", "start": -300.0, "stop": 300.0, "count": 801})
+        "start": -300.0, "stop": 300.0, "count": 801})
     dynamics: dict = field(default_factory=lambda: {"t_max": 0.5, "count": 2001})
     spectrum: dict = field(default_factory=lambda: {
         "ds": 20.0, "nu_start": None, "nu_stop": None, "count": 2001})
@@ -133,17 +132,13 @@ def _from_dict(doc: dict) -> RunConfig:
                 if key not in keys:
                     raise ConfigError(f"unknown {section} key {key!r}")
             getattr(cfg, section).update(sdoc)
-    for key in ("command", "out"):
-        if key in doc and doc[key] is not None and not isinstance(doc[key], str):
-            raise ConfigError(f"'{key}' must be a string")
-    cfg.command = doc.get("command", cfg.command)
+    if doc.get("out") is not None and not isinstance(doc["out"], str):
+        raise ConfigError("'out' must be a string")
     cfg.out = doc.get("out", cfg.out)
     if "seed" in doc:
         if not _is_number(doc["seed"], int):
             raise ConfigError("'seed' must be int")
         cfg.seed = doc["seed"]
-    if cfg.sweep["variable"] != "eps":
-        raise ConfigError(f"unsupported sweep variable {cfg.sweep['variable']!r}")
     for (section, key), lo in _MIN_COUNT.items():
         count = getattr(cfg, section)[key]
         if not _is_number(count, int) or count < lo:
@@ -266,11 +261,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_spectrum_map(cfg: RunConfig) -> int:
     """Total spectrum over a (detuning, frequency) grid as long-format triples.
 
-    Detunings are omega21 - omega_c; points too close to the exact
-    antiresonance (|lambda_plus| < 1e-9 kappa, divergent moments) are skipped
-    and reported as gap comments.  Every detuning shares one frequency grid,
-    so the nu column is formatted once, into a row template; per kept
-    detuning, only the detuning itself and its S_total values are formatted.
+    Detunings are omega21 - omega_c; those where total_spectrum finds the
+    moments divergent (DivergentMomentsError, at the exact antiresonance) are
+    skipped and reported as gap comments.  Every detuning shares one
+    frequency grid, so the nu column is formatted once, into a row template;
+    per kept detuning, only the detuning itself and its S_total values are
+    formatted.
     """
     mp = cfg.map
     ds = float(cfg.spectrum["ds"])
@@ -281,15 +277,14 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
     hi = max(0.0, -detunings.min()) + pad
     nu = np.linspace(lo, hi, int(cfg.spectrum["count"]))
     template = "".join(f"@,{_fmt(x)},%.17g\n" for x in nu.tolist())
-    pd = cfg.params.with_detuning(detunings)
-    lam_plus = rate_coefficients(derive_couplings(pd), pd).lambda_plus
     blocks, gaps = [], []
-    for detuning, lam in zip(detunings.tolist(), lam_plus.tolist()):
-        if lam >= -1e-9 * cfg.params.kappa:
+    for detuning in detunings.tolist():
+        try:
+            s_total = total_spectrum(cfg.params.with_detuning(detuning), nu, ds).s_total
+        except DivergentMomentsError as exc:
             gaps.append(f"gap: detuning_ueV = {_fmt(detuning)} "
-                        f"(lambda_plus = {_fmt(lam)}, moments diverge)")
+                        f"(lambda_plus = {_fmt(exc.lambda_plus)}, moments diverge)")
             continue
-        s_total = total_spectrum(cfg.params.with_detuning(detuning), nu, ds).s_total
         blocks.append(template.replace("@", _fmt(detuning)) % tuple(s_total.tolist()))
     _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
                                           "detuning_ueV = omega21 - omega_c"],
@@ -315,6 +310,7 @@ def _validate_checks(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     draws = int(cfg.validate["draws"])
     sets = [_draw_params(rng) for _ in range(draws)]
+    coarse = [rate_coefficients(derive_couplings(p), p) for p in sets]
 
     worst = 0.0
     for p in sets:
@@ -324,8 +320,7 @@ def _validate_checks(cfg: RunConfig):
            "min eigenvalue of the channel decay matrix / kappa")
 
     worst = 0.0
-    for p in sets:
-        cs = rate_coefficients(derive_couplings(p), p)
+    for p, cs in zip(sets, coarse):
         s_ref = -(p.gamma + p.kappa + cs.r_pm + cs.r_mp)
         p_ref = (cs.r_pm + p.kappa) * (cs.r_mp + p.gamma) - cs.r_pp * cs.r_mm
         worst = max(worst,
@@ -334,8 +329,7 @@ def _validate_checks(cfg: RunConfig):
     yield ("vieta_identities", worst, 1e-10, "trace/determinant of the rate matrix")
 
     worst = 0.0
-    for p in sets:
-        cs = rate_coefficients(derive_couplings(p), p)
+    for p, cs in zip(sets, coarse):
         ev = np.sort(np.linalg.eigvals(cs.coefficient_matrix(p)).real)
         scale = max(abs(cs.lambda_plus), abs(cs.lambda_minus))
         worst = max(worst, abs(ev[1] - cs.lambda_plus) / scale,
@@ -354,8 +348,7 @@ def _validate_checks(cfg: RunConfig):
 
     worst = 0.0
     used = 0
-    for p in sets:
-        cs = rate_coefficients(derive_couplings(p), p)
+    for p, cs in zip(sets, coarse):
         if cs.lambda_plus >= -1e-6 * p.kappa:
             continue
         used += 1
@@ -443,7 +436,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        cfg.command = args.command
         if args.out is not None:
             cfg.out = args.out
         if args.seed is not None:

@@ -41,7 +41,6 @@ from .params import SystemParams, _require_scalar_omega_c, derive_couplings
 from .rates import rate_coefficients
 
 __all__ = [
-    "BlochTriple",
     "Trajectory",
     "IntegrationError",
     "PositivityError",
@@ -53,7 +52,6 @@ __all__ = [
     "A_DAG",
     "SIGMA_Z",
     "excited_state_dm",
-    "vacuum_state_dm",
     "hamiltonian_matrix",
     "triple_generator_matrix",
     "lindblad_generator",
@@ -82,6 +80,13 @@ class EnvelopeFitError(RuntimeError):
     """Envelope data could not be fit (non-positive values, degenerate fit)."""
 
 
+# DOP853's tolerances; the expm route's step-halving check allows 1e3 times them
+RTOL = 1e-10
+ATOL = 1e-12
+# evolve_lindblad raises PositivityError below a lowest eigenvalue of -POSITIVITY_ABORT
+POSITIVITY_ABORT = 1e-7
+
+
 # Operators on the ordered basis {|e,0>, |g,1>, |g,0>}.  sigma+ and a+ are the
 # in-sector projections; states with two excitations are excluded by
 # construction, not by tolerance.
@@ -101,29 +106,6 @@ def excited_state_dm() -> np.ndarray:
     return rho
 
 
-def vacuum_state_dm() -> np.ndarray:
-    """|g,0><g,0| as a 3x3 complex array."""
-    rho = np.zeros((3, 3), complex)
-    rho[2, 2] = 1.0
-    return rho
-
-
-@dataclass(frozen=True)
-class BlochTriple:
-    """Expectation-value triple (n_e, n_c, pol) at one instant."""
-
-    n_e: float
-    n_c: float
-    pol: complex = 0.0
-
-    def __post_init__(self):
-        if self.n_e < -1e-9 or self.n_c < -1e-9:
-            raise ValueError(f"populations must be >= 0, got ({self.n_e}, {self.n_c})")
-        if abs(self.pol) ** 2 > self.n_e * self.n_c + 1e-9:
-            raise ValueError(
-                f"|pol|^2 = {abs(self.pol)**2} exceeds n_e*n_c = {self.n_e * self.n_c}")
-
-
 @dataclass
 class Trajectory:
     """Sampled time evolution of (n_e, n_c, pol) with provenance metadata."""
@@ -140,12 +122,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def sample(self, i: int) -> tuple[float, BlochTriple]:
-        return float(self.t[i]), BlochTriple(
-            n_e=max(float(self.n_e[i]), 0.0),
-            n_c=max(float(self.n_c[i]), 0.0),
-            pol=complex(self.pol[i]))
 
 
 def hamiltonian_matrix(p: SystemParams) -> np.ndarray:
@@ -400,8 +376,7 @@ def _hop(hops: np.ndarray, hop_index: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.vstack([y, ys.reshape(-1, n)[:m]])
 
 
-def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
-                    rtol: float, atol: float):
+def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray):
     """Linear propagation y(t_k) by matrix exponentials of the distinct gaps.
 
     One batched call of _expm_stack gives expm(A dt) for every distinct gap;
@@ -438,24 +413,24 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray,
     half, full = hops[-1], hops[-2]
     defect = np.abs(half @ half - full).max()
     scale = max(np.abs(ys).max(), 1.0)
-    if defect > 1e3 * (rtol * scale + atol):
+    if defect > 1e3 * (RTOL * scale + ATOL):
         raise IntegrationError(
             f"matrix-exponential propagation failed validation: "
             f"step-halving defect {defect:.3e} at gap {dts[-1]:.3e}")
     return ys.T, float(defect), len(gen)
 
 
-def _propagate(a, y0, t, method, rtol, atol):
+def _propagate(a, y0, t, method):
     """Samples of dy/dt = A y and the integrator's metadata entries."""
     if method == "expm":
-        ys, defect, k = _propagate_expm(a, y0, t, rtol, atol)
+        ys, defect, k = _propagate_expm(a, y0, t)
         return ys, {"integrator": "expm", "expm_defect": defect, "slow_modes": k}
     if method != "dop853":
         raise ValueError(f"unknown integration method {method!r}")
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(lambda _t, y: a @ y, (t[0], t[-1]), y0, t_eval=t,
-                    rtol=rtol, atol=atol, method="DOP853")
+                    rtol=RTOL, atol=ATOL, method="DOP853")
     if not sol.success:
         raise IntegrationError(
             f"DOP853 failed at t = {sol.t[-1] if len(sol.t) else t[0]}: "
@@ -463,26 +438,23 @@ def _propagate(a, y0, t, method, rtol, atol):
     return sol.y, {"integrator": "DOP853"}
 
 
-def evolve_triple(p: SystemParams, init: BlochTriple | None = None,
-                  t_grid=None, method: str = "expm",
-                  rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
+def evolve_triple(p: SystemParams, t_grid=None, method: str = "expm") -> Trajectory:
     """Integrate the (n_e, n_c, p) equations of motion on a sample grid.
 
+    The emitter starts excited: (n_e, n_c, p) = (1, 0, 0) at t = 0, the state
+    that the moments and the coarse-grained solution assume too.
     method: "expm" (exact linear propagation, default; reruns give the same
-    bytes) or "dop853" (adaptive solve_ivp at the given tolerances, the
-    independent cross-check).
+    bytes) or "dop853" (adaptive solve_ivp at RTOL and ATOL, the independent
+    cross-check).
     """
     _require_scalar_omega_c(p, "evolve_triple")
-    if init is None:
-        init = BlochTriple(n_e=1.0, n_c=0.0, pol=0.0)
     t = _check_t_grid(t_grid)
     a = triple_generator_matrix(p)
-    y0 = np.array([init.n_c, init.n_e, init.pol.real, init.pol.imag])
-    ys, info = _propagate(a, y0, t, method, rtol, atol)
+    y0 = np.array([0.0, 1.0, 0.0, 0.0])    # (n_c, n_e, Re p, Im p)
+    ys, info = _propagate(a, y0, t, method)
     return Trajectory(
         t=t, n_e=ys[1], n_c=ys[0], pol=ys[2] + 1j * ys[3],
-        metadata={**info, "rtol": rtol, "atol": atol,
-                  "equations": "bloch-triple", "params": p})
+        metadata={**info, "equations": "bloch-triple", "params": p})
 
 
 def _lowest_eigenvalues(rhos: np.ndarray) -> np.ndarray:
@@ -496,8 +468,6 @@ def _lowest_eigenvalues(rhos: np.ndarray) -> np.ndarray:
 
 def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
                     t_grid=None, method: str = "expm",
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    positivity_abort: float = 1e-7,
                     return_states: bool = False):
     """Integrate the full master equation; emit (n_e, n_c, pol) per sample.
 
@@ -510,7 +480,7 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     Hermitian with the initial trace by construction (the recorded defects
     stay at rounding level).  Its lowest eigenvalue, in closed form without
     ground coherences and by eigvalsh with them, must stay above
-    -positivity_abort (else PositivityError with the offending time).  With
+    -POSITIVITY_ABORT (else PositivityError with the offending time).  With
     return_states=True the sampled 3x3 matrices are returned alongside.
     """
     _require_scalar_omega_c(p, "evolve_lindblad")
@@ -546,7 +516,7 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     b = liou[np.ix_([0, 4, 1], one)]
     b = np.column_stack([b[:, 0], b[:, 1], b[:, 2] + b[:, 3], 1j * (b[:, 2] - b[:, 3])])
     y0 = np.array([rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1].real, rho0[0, 1].imag])
-    ys, info = _propagate(np.vstack([b.real, b[2].imag]), y0, t, method, rtol, atol)
+    ys, info = _propagate(np.vstack([b.real, b[2].imag]), y0, t, method)
     rhos = np.zeros((len(t), 3, 3), complex)
     rhos[:, 0, 0] = ys[0]
     rhos[:, 1, 1] = ys[1]
@@ -556,7 +526,7 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     if np.any(z0):
         c = liou[np.ix_(coh, coh)]
         zs, info_coh = _propagate(np.block([[c.real, -c.imag], [c.imag, c.real]]),
-                                  np.concatenate([z0.real, z0.imag]), t, method, rtol, atol)
+                                  np.concatenate([z0.real, z0.imag]), t, method)
         rhos[:, :2, 2] = (zs[:2] + 1j * zs[2:]).T
         if "slow_modes" in info:
             info["slow_modes"] += info_coh["slow_modes"]
@@ -569,15 +539,14 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     lowest = np.linalg.eigvalsh(rhos)[:, 0] if np.any(z0) else _lowest_eigenvalues(rhos)
     k = int(np.argmin(lowest))
     min_eig = float(lowest[k])
-    if min_eig < -positivity_abort:
+    if min_eig < -POSITIVITY_ABORT:
         raise PositivityError(
-            f"density matrix eigenvalue {min_eig:.3e} < -{positivity_abort:.1e} "
+            f"density matrix eigenvalue {min_eig:.3e} < -{POSITIVITY_ABORT:.1e} "
             f"at t = {t[k]:.6e}")
 
     traj = Trajectory(
         t=t, n_e=rhos[:, 0, 0].real, n_c=rhos[:, 1, 1].real, pol=rhos[:, 1, 0],
-        metadata={**info, "rtol": rtol, "atol": atol,
-                  "equations": "lindblad", "params": p,
+        metadata={**info, "equations": "lindblad", "params": p,
                   "min_eigenvalue": min_eig, "hermiticity_defect": float(herm),
                   "trace_defect": float(tr_err)})
     if return_states:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "HBAR_UEV_FS",
     "HBAR_UEV_PS",
     "SystemParams",
     "DerivedCouplings",
@@ -27,9 +26,8 @@ __all__ = [
     "collective_decay_min_eigenvalue",
 ]
 
-# hbar in ueV * fs; one time unit (1/ueV) is HBAR_UEV_FS femtoseconds.
-HBAR_UEV_FS = 658.2119569
-HBAR_UEV_PS = HBAR_UEV_FS * 1e-3
+# hbar in ueV * ps; one time unit (1/ueV) is HBAR_UEV_PS picoseconds.
+HBAR_UEV_PS = 0.6582119569
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,21 @@ COMPONENTS = ("21", "c", "F")
 # size of the (frequencies x (n_r + n_kk)) phase tables in _oracle_total, in
 # elements: the frequency grid is evaluated in blocks of about this size
 ORACLE_BLOCK_ELEMENTS = 1 << 20
+# the oracle's panel doubling must move its result by less than this (relative L2)
+ORACLE_REL_TOL = 1e-4
 
 
 class DivergentMomentsError(RuntimeError):
-    """Time-integrated moments diverge (non-decaying coarse evolution)."""
+    """Time-integrated moments diverge (non-decaying coarse evolution).
+
+    ``lambda_plus`` is the slow coarse-grained eigenvalue that failed to decay.
+    """
+
+    def __init__(self, lambda_plus: float):
+        super().__init__(
+            f"coarse evolution is non-decaying (lambda_plus = {lambda_plus:.3e}); "
+            "time-integrated moments diverge")
+        self.lambda_plus = lambda_plus
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -143,9 +154,7 @@ def _check_decaying(p: SystemParams, cs: CoarseRateSystem) -> None:
     """Raise DivergentMomentsError unless the coarse evolution decays."""
     # exact antiresonance lands at lambda_plus = 0 up to rounding; both signs occur
     if cs.lambda_plus >= -1e-12 * (p.gamma + p.kappa):
-        raise DivergentMomentsError(
-            f"coarse evolution is non-decaying (lambda_plus = {cs.lambda_plus:.3e}); "
-            "time-integrated moments diverge")
+        raise DivergentMomentsError(cs.lambda_plus)
 
 
 def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMoments:
@@ -385,8 +394,7 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     return np.concatenate(out)
 
 
-def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
-                               rel_tol: float = 1e-4) -> np.ndarray:
+def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float) -> np.ndarray:
     """Total spectrum S(nu, ds) rebuilt by numerical quadrature.
 
     Two-time correlators <O_i(t - tau) O_j(t)> are expressed through the
@@ -395,9 +403,9 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     source="ode"), not from the coarse-grained rates.  C(tau) is propagated
     numerically panel by panel, and the filter integral over tau is done by
     composite Gauss-Legendre panels.  The panel density is doubled until the
-    result moves by less than rel_tol in relative L2; non-convergence raises
-    QuadratureConvergenceError, whose ``achieved`` and ``rel_tol`` attributes
-    carry the achieved estimate and the tolerance.
+    result moves by less than ORACLE_REL_TOL in relative L2; non-convergence
+    raises QuadratureConvergenceError, whose ``achieved`` and ``rel_tol``
+    attributes carry the achieved estimate and the tolerance.
 
     The tau sum runs in factored form, one 2x2 factor per index and frequency
     and no BLAS product (:func:`_oracle_total`), on any grid.
@@ -410,6 +418,6 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float,
     fine = _oracle_total(p, nu_abs, ds, m, phase_per_panel=0.45)
     scale = np.linalg.norm(fine)
     achieved = np.linalg.norm(fine - coarse) / scale if scale > 0 else 0.0
-    if achieved > rel_tol:
-        raise QuadratureConvergenceError(float(achieved), rel_tol)
+    if achieved > ORACLE_REL_TOL:
+        raise QuadratureConvergenceError(float(achieved), ORACLE_REL_TOL)
     return float(fine[0]) if np.isscalar(nu) else fine

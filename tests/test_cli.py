@@ -53,6 +53,16 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert out.strip() == "[]"
 
 
+def test_export_lists_name_existing_objects():
+    # a name left in __all__ after its object is gone breaks `import *`
+    import fanoqed
+    namespace = {}
+    exec("from fanoqed import *", namespace)
+    assert set(fanoqed.__all__) <= set(namespace)
+    for module in (fanoqed.params, fanoqed.rates, fanoqed.dynamics, fanoqed.spectra, cli):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 def test_config_round_trip(tmp_path):
     cfg = RunConfig()
     cfg.params = cfg.params.with_reduced_detuning(-126.4)
@@ -76,13 +86,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     for value in ([0.0, 1.0], True, "5", 10 ** 400):
         with pytest.raises(ConfigError, match="must be a finite number"):
             _from_dict({"params": {"omega_c": value}})
-    for removed in ("fixed_step", "fixed_step_dt", "workers"):
+    for removed in ("fixed_step", "fixed_step_dt", "workers", "command"):
         with pytest.raises(ConfigError, match="unknown config key"):
             _from_dict({removed: 1})
     with pytest.raises(ConfigError, match="unknown validate key"):
         _from_dict({"validate": {"inject_eta": 1.5}})
-    with pytest.raises(ConfigError):
-        _from_dict({"sweep": {"variable": "kappa"}})
+    for variable in ("eps", "kappa"):
+        with pytest.raises(ConfigError, match="unknown sweep key"):
+            _from_dict({"sweep": {"variable": variable}})
     with pytest.raises(ConfigError):
         _from_dict({"seed": "abc"})
     with pytest.raises(ConfigError):
@@ -305,7 +316,7 @@ def test_spectrum_map_bytes_match_per_value_rebuild(tmp_path):
     for d in detunings.tolist():
         pd = p.with_detuning(d)
         lam = rate_coefficients(derive_couplings(pd), pd).lambda_plus
-        if lam >= -1e-9 * kappa:
+        if lam >= -1e-12 * (p.gamma + kappa):
             footer.append(f"# gap: detuning_ueV = {d:.17g} "
                           f"(lambda_plus = {lam:.17g}, moments diverge)\n")
             continue
@@ -316,6 +327,22 @@ def test_spectrum_map_bytes_match_per_value_rebuild(tmp_path):
     text = pathlib.Path(out).read_bytes().decode("utf-8")
     _, tail = text.split("detuning_ueV,nu_minus_omega21_ueV,Stotal\n")
     assert tail == "".join(body + footer)
+
+
+def test_spectrum_map_keeps_decaying_detuning_near_rate_zero(tmp_path):
+    # lambda_plus = -5.0e-9 here, 1 ueV from the default rate zero: the
+    # moments converge, so the map writes this detuning's rows, not a gap
+    d = -3158.1154
+    p = SystemParams().with_detuning(d)
+    assert -1e-8 < rate_coefficients(derive_couplings(p), p).lambda_plus < -1e-9
+    cfg = write_config(tmp_path, {
+        "map": {"detuning_start": d, "detuning_stop": d, "count": 1}})
+    out = str(tmp_path / "map_near_zero.csv")
+    assert main(["spectrum-map", "--config", cfg, "--out", out]) == EXIT_OK
+    _, _, rows, footer = read_csv(out)
+    assert footer == [] and rows.shape == (2001, 3)
+    assert np.all(rows[:, 0] == d)
+    assert np.array_equal(rows[:, 2], total_spectrum(p, rows[:, 1], 20.0).s_total)
 
 
 def test_spectrum_map_weak_dephasing_emitter_line_reduction(tmp_path):

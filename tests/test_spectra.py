@@ -12,6 +12,7 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients,
                      default_frequency_grid, spectrum_quadrature_oracle,
                      IntegratedMoments, DivergentMomentsError,
                      QuadratureConvergenceError)
+from fanoqed import spectra
 from fanoqed.dynamics import triple_generator_matrix
 from fanoqed.spectra import _f_coefficients, _oracle_total, _pi_c_total
 from conftest import random_valid_params
@@ -481,11 +482,11 @@ def test_oracle_integrated_weight_is_one():
     assert abs(np.trapezoid(s, nu) - 1.0) <= 5e-3
 
 
-def test_oracle_reports_non_convergence():
+def test_oracle_reports_non_convergence(monkeypatch):
     p = SystemParams(g_abs=0.0, eta=0.0)
+    monkeypatch.setattr(spectra, "ORACLE_REL_TOL", 0.0)
     with pytest.raises(QuadratureConvergenceError) as err:
-        spectrum_quadrature_oracle(p, np.linspace(-200.0, 200.0, 11), DS,
-                                   rel_tol=0.0)
+        spectrum_quadrature_oracle(p, np.linspace(-200.0, 200.0, 11), DS)
     assert "relative change" in str(err.value)
     assert err.value.rel_tol == 0.0
     assert err.value.achieved > err.value.rel_tol
