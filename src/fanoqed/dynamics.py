@@ -15,14 +15,15 @@ Two independent routes are provided and cross-checked against each other:
   structure and propagates the blocks as real 4x4 generators.
 
 Both generators are linear and time independent, so the default integrator
-propagates with matrix exponentials: one batched scaling-and-squaring Pade
-evaluation for all distinct gaps of the grid, then a blocked scan that
-carries the state through those hops (``_hop``).  The exponentials are
-backward stable: every eigenvalue carries an absolute error of order
-eps*||A||, harmless for modes that decay at the generator's scale but
-amplified by t for a mode far slower than it, such as the one at the rate
-antiresonance.  Such slow modes, where an eigenvalue screen finds any, are
-split off and hopped by their own refined generator (``_propagate_expm``).
+propagates with matrix exponentials: one batched scaling-and-squaring
+evaluation of the degree-13 Pade approximant for all distinct gaps of the
+grid, then a blocked scan of in-block prefix products that carries the state
+through those hops (``_hop``).  The exponentials are backward stable: every
+eigenvalue carries an absolute error of order eps*||A||, harmless for modes
+that decay at the generator's scale but amplified by t for a mode far slower
+than it, such as the one at the rate antiresonance.  Such slow modes, where
+an eigenvalue screen finds any, are split off and hopped by their own refined
+generator (``_propagate_expm``).
 Adaptive DOP853 (scipy's solve_ivp) is kept as the independent cross-check.
 In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, so the two
 routes must agree to integrator accuracy.
@@ -206,6 +207,8 @@ def _check_t_grid(t_grid) -> np.ndarray:
         raise ValueError("t_grid must be a 1-d array with at least two samples")
     if t[0] != 0.0:
         raise ValueError("t_grid must start at 0 (the initial-condition time)")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     return t
@@ -278,119 +281,89 @@ def _slow_modes(a: np.ndarray):
     return basis, proj, t11 + proj @ resid
 
 
-# Diagonal Pade approximants r_m = (V - U)^-1 (V + U) of exp, m -> (theta_m,
-# coefficients b_0..b_m): r_m(X) is exp(X) to double precision for
-# ||X||_1 <= theta_m (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
-_PADE = {
-    3: (1.495585217958292e-2, (120., 60., 12., 1.)),
-    5: (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
-    7: (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200.,
-                               1512., 56., 1.)),
-    9: (2.097847961257068, (17643225600., 8821612800., 2075673600., 302702400.,
-                            30270240., 2162160., 110880., 3960., 90., 1.)),
-    13: (5.371920351148152, (64764752532480000., 32382376266240000.,
+# The degree-13 diagonal Pade approximant r_13 = (V - U)^-1 (V + U) of exp:
+# (theta_13, coefficients b_0..b_13), with r_13(X) equal to exp(X) to double
+# precision for ||X||_1 <= theta_13 (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179, 2005)
+_PADE = (5.371920351148152, (64764752532480000., 32382376266240000.,
                              7771770303897600., 1187353796428800., 129060195264000.,
                              10559470521600., 670442572800., 33522128640.,
-                             1323241920., 40840800., 960960., 16380., 182., 1.)),
-}
-
-
-def _pade_expm1(x: np.ndarray, m: int) -> np.ndarray:
-    """The degree-m Pade approximant of exp(x) - I on a stack of matrices x.
-
-    (V - U)^-1 (V + U) - I = 2 (V - U)^-1 U: the solve carries only the
-    difference from the identity, which rounding V + U would blur.
-    """
-    b = _PADE[m][1]
-    eye = np.eye(x.shape[-1])
-    x2 = x @ x
-    if m == 13:
-        x4 = x2 @ x2
-        x6 = x4 @ x2
-        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-    else:
-        pows = [eye, x2]
-        while len(pows) <= m // 2:
-            pows.append(pows[-1] @ x2)
-        u = x @ sum(b[2 * k + 1] * xk for k, xk in enumerate(pows))
-        v = sum(b[2 * k] * xk for k, xk in enumerate(pows))
-    return 2.0 * np.linalg.solve(v - u, u)
+                             1323241920., 40840800., 960960., 16380., 182., 1.))
 
 
 def _expm_stack(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """expm(a * s) for every s in steps, as a (len(steps), n, n) stack.
 
-    Scaling and squaring (Higham 2005) in batched numpy: each step takes the
-    lowest Pade degree m with ||a||_1 s <= theta_m, or degree 13 after scaling
-    a s by 2**-k, k = ceil(log2(||a||_1 s / theta_13)); the result is then
-    squared k times, on the entries that still need it only.  The result is
-    kept as I + c and squared as I + (2c + c @ c), so a mode with exp(l s)
-    close to 1 keeps its difference from 1 to relative accuracy through the
-    squarings instead of losing it to the rounding of I + c at each one.
+    Scaling and squaring (Higham 2005) in batched numpy: every a s is scaled
+    by 2**-k, k = ceil(log2(max(||a s||_1 / theta_13, 1))), into the degree-13
+    Pade approximant, evaluated for all steps at once, and the result is then
+    squared k times, on the entries that still need it only.  The approximant
+    is formed as I + c with c = (V - U)^-1 (V + U) - I = 2 (V - U)^-1 U: the
+    solve carries only the difference from the identity, which rounding
+    V + U would blur.  It is squared as I + (2c + c @ c), so a mode with
+    exp(l s) close to 1 keeps its difference from 1 to relative accuracy
+    through the squarings instead of losing it to the rounding of I + c at
+    each one.
     """
+    theta, b = _PADE
     norm = np.linalg.norm(a, 1) * steps
-    theta13 = _PADE[13][0]
-    squarings = np.ceil(np.log2(np.maximum(norm / theta13, 1.0))).astype(int)
+    squarings = np.ceil(np.log2(np.maximum(norm / theta, 1.0))).astype(int)
     x = a * (steps / 2.0 ** squarings)[:, None, None]    # exact power-of-2 scaling
-    degree = np.full(len(steps), 13)
-    for m in (9, 7, 5, 3):
-        degree[norm <= _PADE[m][0]] = m
-    c = np.empty_like(x)
-    for m in np.unique(degree):
-        sel = degree == m
-        c[sel] = _pade_expm1(x[sel], m)
+    eye = np.eye(len(a))
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    c = 2.0 * np.linalg.solve(v - u, u)
     for j in range(squarings.max()):
         sel = squarings > j
         cs = c[sel]
         c[sel] = 2.0 * cs + cs @ cs
-    return np.eye(len(a)) + c
+    return eye + c
 
 
 def _hop(hops: np.ndarray, hop_index: np.ndarray, y: np.ndarray) -> np.ndarray:
     """ys[0] = y, ys[j + 1] = hops[hop_index[j]] @ ys[j], as a (len + 1, n) array.
 
-    A blocked scan on the state, over blocks of L ~ sqrt(len) hops (a power of
-    two; the padding of the last block feeds only results that are dropped).
-    A pairwise tree of batched matmuls forms each block's total, one mat-vec
-    per block carries the state across the blocks, and one batched mat-vec
-    per position fills all blocks: O(len) small products in about 2 sqrt(len)
-    numpy calls.
+    A blocked scan on the state, over blocks of L = ceil(sqrt(len)) hops (the
+    padding of the last block feeds only results that are dropped).  One
+    batched matmul per position turns every block's hops into its prefix
+    products in place, one mat-vec per block carries the state across the
+    blocks with each block's last prefix, and one batched product applies
+    every prefix to its block's starting state: O(len) small products in
+    about 2 sqrt(len) numpy calls.
     """
     m, n = len(hop_index), len(y)
-    size = 1 << (m.bit_length() // 2)
+    size = math.isqrt(m - 1) + 1
     blocks = -(-m // size)
-    steps = hops[np.pad(hop_index, (0, blocks * size - m))].reshape(blocks, size, n, n)
-    total = steps
-    while total.shape[1] > 1:
-        total = total[:, 1::2] @ total[:, ::2]
-    state = np.empty((blocks, n, 1))
-    state[0] = y[:, None]
-    for b in range(1, blocks):
-        state[b] = total[b - 1, 0] @ state[b - 1]
-    ys = np.empty((blocks, size, n, 1))
-    for j in range(size):
-        state = ys[:, j] = steps[:, j] @ state
-    return np.vstack([y, ys.reshape(-1, n)[:m]])
+    prefix = hops[np.pad(hop_index, (0, blocks * size - m))].reshape(blocks, size, n, n)
+    for j in range(1, size):
+        prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+    state = np.empty((blocks, 1, n, 1))
+    state[0, 0] = y[:, None]
+    for k in range(1, blocks):
+        state[k] = prefix[k - 1, -1] @ state[k - 1]
+    return np.vstack([y, (prefix @ state).reshape(-1, n)[:m]])
 
 
 def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray):
     """Linear propagation y(t_k) by matrix exponentials of the distinct gaps.
 
-    One batched call of _expm_stack gives expm(A dt) for every distinct gap;
-    the samples are then these hops applied to y0 in turn, by one blocked
-    scan (_hop).  The Pade exponential is backward stable, so an
-    eigenvalue l with |l| << ||A|| is off by ~eps*||A||, which the hops turn
-    into a state error growing like eps*||A||*t.  Step halving cannot see
-    it: at the rate antiresonance whole-generator hops pass that check with
-    n_e off by 1.2e-8 (by 2.5e-6 with scipy's expm, which squares the
-    rounded I + c).  The modes below SLOW_MODE_RATIO*||A|| (such
-    as the antiresonance mode) are therefore split off by their spectral
-    projection of y0 and hopped with exponentials of their own refined
-    k x k generator, whose eigenvalue errors are of order eps*|l|.  The
-    rest stays on the expm(A dt) hops.  The largest gap is validated by
+    One batched degree-13 Pade call of _expm_stack gives expm(A dt) for every
+    distinct gap; the samples are then these hops applied to y0 in turn, by
+    one blocked scan of prefix products (_hop).  The Pade exponential is
+    backward stable, so an eigenvalue l with |l| << ||A|| is off by
+    ~eps*||A||, which the hops turn into a state error growing like
+    eps*||A||*t.  Step halving cannot see it: at the rate antiresonance
+    whole-generator hops pass that check with n_e off by 1.2e-8 (by 2.5e-6
+    with scipy's expm, which squares the rounded I + c).  The modes below
+    SLOW_MODE_RATIO*||A|| (such as the antiresonance mode) are therefore
+    split off by their spectral projection of y0 and hopped with
+    exponentials of their own refined k x k generator, whose eigenvalue
+    errors are of order eps*|l|.  The rest stays on the expm(A dt) hops.  The largest gap is validated by
     comparing one full expm(A dt) hop against two half hops, which bounds
     the local error of the exponential itself.
 
@@ -413,7 +386,7 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray):
     half, full = hops[-1], hops[-2]
     defect = np.abs(half @ half - full).max()
     scale = max(np.abs(ys).max(), 1.0)
-    if defect > 1e3 * (RTOL * scale + ATOL):
+    if not defect <= 1e3 * (RTOL * scale + ATOL):    # a NaN defect fails too
         raise IntegrationError(
             f"matrix-exponential propagation failed validation: "
             f"step-halving defect {defect:.3e} at gap {dts[-1]:.3e}")
@@ -477,8 +450,9 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     (rho_ee, rho_11, Re rho_e1, Im rho_e1), its ground-coherence block
     (rho_e0, rho_10) as a real 4x4 only when rho0 has ground coherences, and
     rho_00 comes from the trace.  Each sampled density matrix is thus
-    Hermitian with the initial trace by construction (the recorded defects
-    stay at rounding level).  Its lowest eigenvalue, in closed form without
+    Hermitian by construction (real diagonal, lower triangle the conjugate of
+    the upper) and has the initial trace up to rounding (trace_defect in the
+    metadata).  Its lowest eigenvalue, in closed form without
     ground coherences and by eigvalsh with them, must stay above
     -POSITIVITY_ABORT (else PositivityError with the offending time).  With
     return_states=True the sampled 3x3 matrices are returned alongside.
@@ -534,7 +508,6 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     rhos[:, 1, 0] = rhos[:, 0, 1].conj()
     rhos[:, 2, :2] = rhos[:, :2, 2].conj()
 
-    herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
     tr_err = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()
     lowest = np.linalg.eigvalsh(rhos)[:, 0] if np.any(z0) else _lowest_eigenvalues(rhos)
     k = int(np.argmin(lowest))
@@ -547,8 +520,7 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     traj = Trajectory(
         t=t, n_e=rhos[:, 0, 0].real, n_c=rhos[:, 1, 1].real, pol=rhos[:, 1, 0],
         metadata={**info, "equations": "lindblad", "params": p,
-                  "min_eigenvalue": min_eig, "hermiticity_defect": float(herm),
-                  "trace_defect": float(tr_err)})
+                  "min_eigenvalue": min_eig, "trace_defect": float(tr_err)})
     if return_states:
         return traj, rhos
     return traj
@@ -570,6 +542,8 @@ def coarse_grained_solution(p: SystemParams, t):
     """
     _require_scalar_omega_c(p, "coarse_grained_solution")
     t = np.asarray(t, float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     cs = rate_coefficients(derive_couplings(p), p)

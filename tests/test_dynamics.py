@@ -14,7 +14,7 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients, transiti
                      triple_generator_matrix, TooFewExtremaError,
                      EnvelopeFitError)
 from fanoqed import dynamics
-from fanoqed.dynamics import (SIGMA_MINUS, A_OP, SIGMA_Z, SLOW_MODE_RATIO, _PADE,
+from fanoqed.dynamics import (SIGMA_MINUS, A_OP, SIGMA_Z, SLOW_MODE_RATIO,
                               _expm_stack, _hop, _lowest_eigenvalues, _matmul_dot2,
                               _slow_modes)
 from conftest import random_valid_params
@@ -163,6 +163,15 @@ def test_slow_modes_and_expm_defect_in_metadata():
             assert 0.0 <= meta["expm_defect"] < 1e-6
 
 
+def test_step_halving_check_rejects_a_nan_defect():
+    # exp(1000) overflows, so the full hop is inf and the half hop squared is
+    # inf too: their difference, the step-halving defect, is NaN and must fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dynamics.IntegrationError, match="step-halving"):
+            dynamics._propagate_expm(np.array([[1.0]]), np.array([1.0]),
+                                     np.array([0.0, 1000.0]))
+
+
 def test_slow_mode_screen_keeps_every_slow_mode(rng, monkeypatch):
     # every generator that either route hands to _slow_modes, on the 12
     # criterion-5 sets and on seeded draws, with and without ground
@@ -266,11 +275,16 @@ def _kernel_generators():
     return [triple_generator_matrix(p) for p in sets]
 
 
+# Higham's (2005) theta_m of the Pade degrees m = 3, 5, 7, 9 and 13: the
+# probe norms below sit just inside each, then 1 to 34 squarings past theta_13
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068, 5.371920351148152)
+
+
 def _kernel_steps(a):
-    """Steps just inside each Pade degree's theta, then 1 to 34 squarings."""
-    theta = {m: th for m, (th, _) in _PADE.items()}
-    norms = [0.5 * theta[3]] + [0.99 * theta[m] for m in (3, 5, 7, 9, 13)]
-    norms += [0.99 * theta[13] * 2.0 ** j for j in range(1, 35, 3)]
+    """Steps of norm 0.5 theta_3, 0.99 theta_m for each m, then 1 to 34 squarings."""
+    norms = [0.5 * _THETA[0]] + [0.99 * theta for theta in _THETA]
+    norms += [0.99 * _THETA[-1] * 2.0 ** j for j in range(1, 35, 3)]
     return np.array(norms) / np.linalg.norm(a, 1)
 
 
@@ -300,12 +314,14 @@ def test_expm_stack_matches_40_digit_and_scipy_expm():
 
 def test_expm_stack_is_accurate_near_the_identity():
     # for ||A s||_1 <= theta_3, expm(A s) = I + X with ||X|| ~ ||A s||: written
-    # I + 2 (V - U)^-1 U the approximant is within a few u*||A s|| of the
-    # 40-digit value in every entry, so the diagonal is correctly rounded;
-    # (V - U)^-1 (V + U) rounds V + U first and misses by an ulp of 1
+    # I + 2 (V - U)^-1 U the unscaled degree-13 approximant is within a few
+    # u*||A s|| of the 40-digit value in every entry, so the diagonal is
+    # correctly rounded; (V - U)^-1 (V + U) rounds V + U first and misses by
+    # an ulp of 1
     u = np.finfo(float).eps / 2.0
     for a in _kernel_generators():
-        steps = _kernel_steps(a)[:2]
+        steps = np.append(np.array([1e-6, 1e-3]) * _THETA[0] / np.linalg.norm(a, 1),
+                          _kernel_steps(a)[:2])
         for r, s in zip(_expm_stack(a, steps), steps):
             assert np.abs(r - _mp_expm(a, s)).max() <= 4.0 * u * np.linalg.norm(a, 1) * s
 
@@ -330,14 +346,15 @@ def test_hop_scan_matches_sequential_hops():
     assert np.abs(got - np.array(ref)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 4])
 def test_blocked_scan_matches_sequential_hops_at_block_edges(n, rng):
-    # lengths at the edges of the power-of-two block sizes (1, 2, 2, 2, 2, 8,
-    # 8, 8 and 32 hops per block), with and without a padded last block; n = 1
-    # is the shape of a single slow-mode amplitude
+    # lengths on both sides of the squares, with ceil(sqrt(len)) hops per
+    # block: 16, 49 and 2025 fill their blocks exactly, 17, 50 and 2026 step
+    # to the next block size and pad the last block; n = 1 is the shape of a
+    # single slow-mode amplitude, n = 2 of a pair of them
     a = triple_generator_matrix(SystemParams())[:n, :n]
     hops = _expm_stack(a, np.array([1e-4, 3e-4, 1e-3]))
-    for m in (1, 2, 3, 4, 5, 63, 64, 65, 2000):
+    for m in (1, 2, 3, 4, 5, 15, 16, 17, 48, 49, 50, 63, 64, 65, 2000, 2025, 2026):
         hop_index = rng.integers(0, len(hops), m)
         y = rng.normal(size=n)
         ref = [y]
@@ -687,6 +704,14 @@ def test_input_validation():
     with pytest.raises(ValueError):
         evolve_lindblad(p, rho0=2.0 * excited_state_dm(),
                         t_grid=np.linspace(0, 1, 10))
+    # NaN and inf sample times, which the strictly-increasing test cannot see
+    for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError):
+            evolve_triple(p, t_grid=bad)
+        with pytest.raises(ValueError):
+            evolve_lindblad(p, t_grid=bad)
+        with pytest.raises(ValueError):
+            coarse_grained_solution(p, bad)
     with pytest.raises(ValueError):
         Trajectory(t=np.array([0.0, 0.0]), n_e=np.zeros(2), n_c=np.zeros(2),
                    pol=np.zeros(2, complex))
