@@ -41,7 +41,6 @@ from .dynamics import (
     PositivityError,
     TooFewExtremaError,
     EnvelopeFitError,
-    excited_state_dm,
     hamiltonian_matrix,
     triple_generator_matrix,
     lindblad_generator,
@@ -79,8 +78,8 @@ __all__ = [
     "purcell_rate", "fano_formula", "rate_sweep",
     "Trajectory", "IntegrationError", "PositivityError",
     "TooFewExtremaError", "EnvelopeFitError",
-    "excited_state_dm", "hamiltonian_matrix",
-    "triple_generator_matrix", "lindblad_generator", "liouvillian_matrix",
+    "hamiltonian_matrix", "triple_generator_matrix", "lindblad_generator",
+    "liouvillian_matrix",
     "evolve_triple", "evolve_lindblad", "coarse_grained_solution",
     "adiabatic_polarization", "envelope_decay_rate",
     "SpectralPoles", "IntegratedMoments", "SpectrumComponents",

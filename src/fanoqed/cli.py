@@ -49,21 +49,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
-_SECTION_KEYS = {
-    "sweep": ("start", "stop", "count"),
-    "dynamics": ("t_max", "count"),
-    "spectrum": ("ds", "nu_start", "nu_stop", "count"),
-    "map": ("detuning_start", "detuning_stop", "count"),
-    "validate": ("draws",),
-}
 # smallest value each section's count accepts: the grid sizes, and the number
 # of parameter sets validate draws (a check over no sets would read as a pass)
 _MIN_COUNT = {("sweep", "count"): 1, ("dynamics", "count"): 2,
               ("spectrum", "count"): 2, ("map", "count"): 1, ("validate", "draws"): 1}
-# values that must be finite numbers (a null nu_start/nu_stop: the default grid)
-_FINITE = (("sweep", "start"), ("sweep", "stop"), ("dynamics", "t_max"),
-           ("spectrum", "ds"), ("spectrum", "nu_start"), ("spectrum", "nu_stop"),
-           ("map", "detuning_start"), ("map", "detuning_stop"))
 
 
 class ConfigError(ValueError):
@@ -91,6 +80,12 @@ class RunConfig:
 
 
 _TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+# each section's keys in the order of its defaults; every key but the counts
+# must be a finite number (a null nu_start/nu_stop: the default grid)
+_SECTION_KEYS = {name: tuple(val) for name, val in vars(RunConfig()).items()
+                 if isinstance(val, dict)}
+_FINITE = tuple((section, key) for section, keys in _SECTION_KEYS.items()
+                for key in keys if (section, key) not in _MIN_COUNT)
 
 
 def _is_number(val, typ) -> bool:
@@ -310,13 +305,11 @@ def _validate_checks(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     draws = int(cfg.validate["draws"])
     sets = [_draw_params(rng) for _ in range(draws)]
-    coarse = [rate_coefficients(derive_couplings(p), p) for p in sets]
+    coarse = [rate_coefficients(p) for p in sets]
 
-    worst = 0.0
-    for p in sets:
-        worst = min(worst, collective_decay_min_eigenvalue(
-            p.gamma, p.kappa, p.eta, p.theta21, p.theta_c) / p.kappa)
-    yield ("collective_decay_psd", -worst, 1e-12,
+    lowest = min(collective_decay_min_eigenvalue(p.gamma, p.kappa, p.eta, p.theta21,
+                                                 p.theta_c) / p.kappa for p in sets)
+    yield ("collective_decay_psd", max(0.0, -lowest), 1e-12,
            "min eigenvalue of the channel decay matrix / kappa")
 
     worst = 0.0

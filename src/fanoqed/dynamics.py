@@ -12,7 +12,8 @@ Two independent routes are provided and cross-checked against each other:
   operators and is block lower triangular: the one-excitation block
   (rho_ee, rho_11, rho_e1) and the ground coherences (rho_e0, rho_10) evolve
   on their own, and rho_00 follows from the trace.  The route checks that
-  structure and propagates the blocks as real 4x4 generators.
+  structure and, as the excited emitter has no ground coherences, propagates
+  the one-excitation block alone as a real 4x4 generator.
 
 Both generators are linear and time independent, so the default integrator
 propagates with matrix exponentials: one batched scaling-and-squaring
@@ -52,7 +53,6 @@ __all__ = [
     "A_OP",
     "A_DAG",
     "SIGMA_Z",
-    "excited_state_dm",
     "hamiltonian_matrix",
     "triple_generator_matrix",
     "lindblad_generator",
@@ -100,11 +100,9 @@ _SIGMA_PLUS_A = SIGMA_PLUS @ A_OP      # |e,0><g,1|
 _A_DAG_SIGMA_MINUS = A_DAG @ SIGMA_MINUS
 
 
-def excited_state_dm() -> np.ndarray:
-    """|e,0><e,0| as a 3x3 complex array."""
-    rho = np.zeros((3, 3), complex)
-    rho[0, 0] = 1.0
-    return rho
+def _finite_increasing(t: np.ndarray) -> bool:
+    """Every sample time finite and each above the one before (False on NaN)."""
+    return bool(np.all(np.isfinite(t)) and np.all(np.diff(t) > 0))
 
 
 @dataclass
@@ -118,8 +116,8 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        if not _finite_increasing(self.t):
+            raise ValueError("sample times must be finite and strictly increasing")
 
     def __len__(self):
         return len(self.t)
@@ -207,10 +205,8 @@ def _check_t_grid(t_grid) -> np.ndarray:
         raise ValueError("t_grid must be a 1-d array with at least two samples")
     if t[0] != 0.0:
         raise ValueError("t_grid must start at 0 (the initial-condition time)")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t_grid must be finite")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    if not _finite_increasing(t):
+        raise ValueError("t_grid must be finite and strictly increasing")
     return t
 
 
@@ -430,51 +426,39 @@ def evolve_triple(p: SystemParams, t_grid=None, method: str = "expm") -> Traject
         metadata={**info, "equations": "bloch-triple", "params": p})
 
 
-def _lowest_eigenvalues(rhos: np.ndarray) -> np.ndarray:
+def _lowest_eigenvalues(r_ee, r_11, abs_e1, r_00):
     """Lowest eigenvalue of each rho without ground coherences, in closed form.
 
-    rho is [[a, c], [c*, b]] plus rho_00: min(rho_00, (a+b)/2 - hypot((a-b)/2, |c|)).
+    rho is [[r_ee, r_e1], [r_e1*, r_11]] plus r_00, and abs_e1 = |r_e1|:
+    min(r_00, (r_ee + r_11)/2 - hypot((r_ee - r_11)/2, |r_e1|)).
     """
-    a, b, c = rhos[:, 0, 0].real, rhos[:, 1, 1].real, np.abs(rhos[:, 0, 1])
-    return np.minimum(rhos[:, 2, 2].real, 0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
+    return np.minimum(r_00, 0.5 * (r_ee + r_11) - np.hypot(0.5 * (r_ee - r_11), abs_e1))
 
 
-def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
-                    t_grid=None, method: str = "expm",
-                    return_states: bool = False):
-    """Integrate the full master equation; emit (n_e, n_c, pol) per sample.
+def evolve_lindblad(p: SystemParams, t_grid=None, method: str = "expm") -> Trajectory:
+    """Integrate the full master equation from |e,0><e,0|; emit (n_e, n_c, pol).
 
-    The operator-built Liouvillian is checked to be block lower triangular
-    with exact zeros and to have a vanishing trace row (IntegrationError
-    otherwise).  Its one-excitation block is propagated as a real 4x4 in
-    (rho_ee, rho_11, Re rho_e1, Im rho_e1), its ground-coherence block
-    (rho_e0, rho_10) as a real 4x4 only when rho0 has ground coherences, and
-    rho_00 comes from the trace.  Each sampled density matrix is thus
-    Hermitian by construction (real diagonal, lower triangle the conjugate of
-    the upper) and has the initial trace up to rounding (trace_defect in the
-    metadata).  Its lowest eigenvalue, in closed form without
-    ground coherences and by eigvalsh with them, must stay above
-    -POSITIVITY_ABORT (else PositivityError with the offending time).  With
-    return_states=True the sampled 3x3 matrices are returned alongside.
+    The emitter starts excited, as in evolve_triple.  The operator-built
+    Liouvillian is checked to be block lower triangular with exact zeros and
+    to have a vanishing trace row (IntegrationError otherwise).  The ground
+    coherences (rho_e0, rho_10) start and stay zero, so only the
+    one-excitation block is propagated, as a real 4x4 in (rho_ee, rho_11,
+    Re rho_e1, Im rho_e1), and rho_00 = 1 - rho_ee - rho_11.  (n_e, n_c, pol)
+    = (rho_ee, rho_11, rho_1e) thus hold every entry of each sampled density
+    matrix, which is Hermitian by construction and has unit trace up to
+    rounding (trace_defect in the metadata).  Its lowest eigenvalue, in
+    closed form, must stay above -POSITIVITY_ABORT (else PositivityError with
+    the offending time).
     """
     _require_scalar_omega_c(p, "evolve_lindblad")
-    if rho0 is None:
-        rho0 = excited_state_dm()
-    rho0 = np.asarray(rho0, complex)
-    if rho0.shape != (3, 3):
-        raise ValueError(f"rho0 must be 3x3, got {rho0.shape}")
-    if np.abs(rho0 - rho0.conj().T).max() > 1e-12:
-        raise ValueError("rho0 must be Hermitian")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
-        raise ValueError(f"rho0 must have unit trace, got {np.trace(rho0)}")
     t = _check_t_grid(t_grid)
     liou = liouvillian_matrix(p)
     # rho.ravel() holds rho_ij at 3*i + j.  In the order
     # (ee, 11, e1, 1e | e0, 10 | 0e, 01 | 00) the blocks evolve on their own,
     # except that rho_00 is fed by the one-excitation block
-    one, coh = [0, 4, 1, 3], [2, 5]
+    one = [0, 4, 1, 3]
     off_block = np.ones((9, 9), bool)
-    for block in (one, coh, [6, 7]):
+    for block in (one, [2, 5], [6, 7]):
         off_block[np.ix_(block, block)] = False
     off_block[8, one] = False
     if np.any(liou[off_block] != 0.0):
@@ -489,41 +473,23 @@ def evolve_lindblad(p: SystemParams, rho0: np.ndarray | None = None,
     # rows ee, 11, e1 on columns (rho_ee, rho_11, Re rho_e1, Im rho_e1)
     b = liou[np.ix_([0, 4, 1], one)]
     b = np.column_stack([b[:, 0], b[:, 1], b[:, 2] + b[:, 3], 1j * (b[:, 2] - b[:, 3])])
-    y0 = np.array([rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1].real, rho0[0, 1].imag])
-    ys, info = _propagate(np.vstack([b.real, b[2].imag]), y0, t, method)
-    rhos = np.zeros((len(t), 3, 3), complex)
-    rhos[:, 0, 0] = ys[0]
-    rhos[:, 1, 1] = ys[1]
-    rhos[:, 0, 1] = ys[2] + 1j * ys[3]
-    rhos[:, 2, 2] = np.trace(rho0).real - ys[0] - ys[1]
-    z0 = rho0[:2, 2]
-    if np.any(z0):
-        c = liou[np.ix_(coh, coh)]
-        zs, info_coh = _propagate(np.block([[c.real, -c.imag], [c.imag, c.real]]),
-                                  np.concatenate([z0.real, z0.imag]), t, method)
-        rhos[:, :2, 2] = (zs[:2] + 1j * zs[2:]).T
-        if "slow_modes" in info:
-            info["slow_modes"] += info_coh["slow_modes"]
-            info["expm_defect"] = max(info["expm_defect"], info_coh["expm_defect"])
-    rhos[:, 1, 0] = rhos[:, 0, 1].conj()
-    rhos[:, 2, :2] = rhos[:, :2, 2].conj()
+    y0 = np.array([1.0, 0.0, 0.0, 0.0])
+    (n_e, n_c, re_e1, im_e1), info = _propagate(np.vstack([b.real, b[2].imag]), y0, t, method)
+    pol = np.conj(re_e1 + 1j * im_e1)
+    r_00 = 1.0 - n_e - n_c
 
-    tr_err = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()
-    lowest = np.linalg.eigvalsh(rhos)[:, 0] if np.any(z0) else _lowest_eigenvalues(rhos)
+    tr_err = np.abs(n_e + n_c + r_00 - 1.0).max()
+    lowest = _lowest_eigenvalues(n_e, n_c, np.abs(pol), r_00)
     k = int(np.argmin(lowest))
     min_eig = float(lowest[k])
     if min_eig < -POSITIVITY_ABORT:
         raise PositivityError(
             f"density matrix eigenvalue {min_eig:.3e} < -{POSITIVITY_ABORT:.1e} "
             f"at t = {t[k]:.6e}")
-
-    traj = Trajectory(
-        t=t, n_e=rhos[:, 0, 0].real, n_c=rhos[:, 1, 1].real, pol=rhos[:, 1, 0],
+    return Trajectory(
+        t=t, n_e=n_e, n_c=n_c, pol=pol,
         metadata={**info, "equations": "lindblad", "params": p,
                   "min_eigenvalue": min_eig, "trace_defect": float(tr_err)})
-    if return_states:
-        return traj, rhos
-    return traj
 
 
 def _exprel(z: np.ndarray) -> np.ndarray:
@@ -546,7 +512,7 @@ def coarse_grained_solution(p: SystemParams, t):
         raise ValueError("t must be finite")
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    cs = rate_coefficients(derive_couplings(p), p)
+    cs = rate_coefficients(p)
     lp, lm = cs.lambda_plus, cs.lambda_minus
     ep = np.exp(lp * t)
     dd = t * ep * _exprel(-(lp - lm) * t)

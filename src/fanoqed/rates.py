@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, DerivedCouplings, derive_couplings, reduced_detuning
+from .params import SystemParams, derive_couplings
 
 __all__ = [
     "CoarseRateSystem",
@@ -64,13 +64,14 @@ class CoarseRateSystem:
                          np.stack([self.r_mm, -(self.r_mp + p.gamma)], -1)], -2)
 
 
-def rate_coefficients(dc: DerivedCouplings, p: SystemParams) -> CoarseRateSystem:
+def rate_coefficients(p: SystemParams) -> CoarseRateSystem:
     """Coarse-grained rate coefficients and eigenvalues for one parameter set.
 
     R_ab = Re(2 g_a g_b* / (i*(omega_c - omega21) + Gamma_tot)); the closed-form
     eigenvalues follow from the trace and the discriminant, which is a sum of
     a square and the product R_pp * R_mm >= 0, so both are real.
     """
+    dc = derive_couplings(p)
     d = 1j * dc.detuning + dc.gamma_tot
     gp, gm = dc.g_plus, dc.g_minus
     r_pp = (2.0 * gp * np.conj(gp) / d).real
@@ -97,7 +98,7 @@ def transition_rate(p: SystemParams) -> float:
     -lambda_minus instead; that value is returned along with a RegimeWarning
     rather than silently switching.
     """
-    cs = rate_coefficients(derive_couplings(p), p)
+    cs = rate_coefficients(p)
     if p.kappa < p.gamma:
         warnings.warn(
             "kappa < gamma: transition rate taken from the -lambda_minus branch",
@@ -108,7 +109,7 @@ def transition_rate(p: SystemParams) -> float:
 
 def transition_rate_weak(p: SystemParams) -> float:
     """Weak-coupling rate W = gamma + R_mp (drops the R_pp*R_mm backaction)."""
-    cs = rate_coefficients(derive_couplings(p), p)
+    cs = rate_coefficients(p)
     return p.gamma + cs.r_mp
 
 

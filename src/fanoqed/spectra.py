@@ -180,7 +180,7 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
     product, as a check independent of the closed forms.
     """
     dc = derive_couplings(p)
-    cs = rate_coefficients(dc, p)
+    cs = rate_coefficients(p)
     _check_decaying(p, cs)
     if source == "coarse":
         det = cs.lambda_plus * cs.lambda_minus

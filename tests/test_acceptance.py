@@ -149,7 +149,7 @@ def test_criterion_07_sum_rule():
     accepted = 0
     while accepted < 1000:
         p = random_valid_params(rng)
-        cs = rate_coefficients(derive_couplings(p), p)
+        cs = rate_coefficients(p)
         if cs.lambda_plus >= -1e-6 * p.kappa:
             continue  # antiresonance neighborhood: moments ill-conditioned
         accepted += 1

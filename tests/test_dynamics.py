@@ -9,8 +9,7 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients, transiti
                      Trajectory,
                      evolve_triple, evolve_lindblad, coarse_grained_solution,
                      adiabatic_polarization, envelope_decay_rate,
-                     lindblad_generator, liouvillian_matrix,
-                     excited_state_dm, hamiltonian_matrix,
+                     lindblad_generator, liouvillian_matrix, hamiltonian_matrix,
                      triple_generator_matrix, TooFewExtremaError,
                      EnvelopeFitError)
 from fanoqed import dynamics
@@ -97,7 +96,7 @@ def test_antiresonance_route_matches_exact_propagation(route):
         # the route propagates blocks cut from the 9x9 complex generator, so
         # the whole generator's exact propagation also checks the block split
         exact = _exact_propagation(liouvillian_matrix(p),
-                                   excited_state_dm().ravel(), t[sampled])[:, 0]
+                                   np.eye(9)[0], t[sampled])[:, 0]    # |e,0><e,0|
     assert np.abs(n_e[sampled] - exact.real).max() <= 1e-9
 
 
@@ -134,22 +133,6 @@ def test_default_dynamics_window_matches_exact_propagation():
     assert np.abs(traj.n_c[sampled] - exact[:, 0].real).max() <= 1.5e-15
 
 
-def test_ground_coherence_block_matches_exact_propagation():
-    # rho0 = |psi><psi| with psi ~ |e,0> + |g,0> carries ground coherences,
-    # so the second block is propagated; every entry of rho, rho_00 from the
-    # trace included, is held to the full 9x9 generator
-    p = SystemParams(eta=0.6, gamma_ph=5.0).with_reduced_detuning(30.0)
-    assert p.g != 0.0
-    psi = np.array([1.0, 0.0, 1.0], complex) / math.sqrt(2.0)
-    rho0 = np.outer(psi, psi.conj())
-    t = np.linspace(0.0, 1.0, 201)
-    _, rhos = evolve_lindblad(p, rho0, t, return_states=True)
-    sampled = np.arange(0, len(t), 10)
-    exact = _exact_propagation(liouvillian_matrix(p), rho0.ravel(), t[sampled])
-    assert np.abs(rhos[sampled].reshape(len(sampled), 9) - exact).max() <= 1e-9
-    assert np.abs(rhos[-1, 0, 2]) > 1e-6    # the coherence has not died out
-
-
 def test_slow_modes_and_expm_defect_in_metadata():
     # one slow mode at the criterion-5 antiresonance, none at the defaults;
     # the excited state never reaches the master equation's stationary mode
@@ -174,11 +157,11 @@ def test_step_halving_check_rejects_a_nan_defect():
 
 def test_slow_mode_screen_keeps_every_slow_mode(rng, monkeypatch):
     # every generator that either route hands to _slow_modes, on the 12
-    # criterion-5 sets and on seeded draws, with and without ground
-    # coherences: the eigvals screen must give the count of the full ordered
-    # Schur form, so it never drops a slow mode.  The draws at eta = 1,
-    # gamma_ph = 0 and eps in [-260, -90] put min|l|/||A||_1 at 5e-7 to 3e-6,
-    # across the cut and the screen's margin of twice the cut
+    # criterion-5 sets and on seeded draws: the eigvals screen must give the
+    # count of the full ordered Schur form, so it never drops a slow mode.
+    # The draws at eta = 1, gamma_ph = 0 and eps in [-260, -90] put
+    # min|l|/||A||_1 at 5e-7 to 3e-6, across the cut and the screen's margin
+    # of twice the cut
     from scipy.linalg import schur
     import fanoqed.dynamics as dyn
     seen = []
@@ -188,22 +171,20 @@ def test_slow_mode_screen_keeps_every_slow_mode(rng, monkeypatch):
     draws = [random_valid_params(rng) for _ in range(12)]
     edge = [SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(rng.uniform(-260, -90))
             for _ in range(12)]
-    psi = np.array([1.0, 0.0, 1.0], complex) / math.sqrt(2.0)
     for p in c5 + draws + edge:
         t = np.linspace(0.0, 10.0 / transition_rate(p), 11)
         evolve_triple(p, t_grid=t)
         evolve_lindblad(p, t_grid=t)
-        evolve_lindblad(p, np.outer(psi, psi.conj()), t)   # both blocks
     counts = []
     for a in seen:
         cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
         full = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)[2]
         counts.append(len(_slow_modes(a)[2]))
         assert counts[-1] == full
-    # per set: triple, one-excitation block, then both blocks of the coherent run
-    counts = np.array(counts).reshape(-1, 4)
-    expected = np.zeros((len(c5), 4), int)
-    expected[8, :3] = 1     # eta = 1, gamma_ph = 0, eps = -126.4: the antiresonance
+    # per set: triple, then the master equation's one-excitation block
+    counts = np.array(counts).reshape(-1, 2)
+    expected = np.zeros((len(c5), 2), int)
+    expected[8] = 1     # eta = 1, gamma_ph = 0, eps = -126.4: the antiresonance
     assert np.array_equal(counts[:len(c5)], expected)
     assert 0 < counts[-len(edge):, 0].sum() < len(edge)
 
@@ -435,7 +416,7 @@ def test_coarse_solution_through_the_confluent_point():
     t = np.array([0.0, 0.1, 1.0, 3.0, 10.0, 50.0, 1e12])
     for g_abs in (0.0, 1e-7, 2.3e-5, 1e-3, 0.1):
         p = SystemParams(g_abs=g_abs, eta=0.0, gamma=1.0, kappa=1.0, gamma_ph=0.0)
-        cs = rate_coefficients(derive_couplings(p), p)
+        cs = rate_coefficients(p)
         n_e, n_c = coarse_grained_solution(p, t)
         with mp.workdps(50):
             lp, lm = mp.mpf(cs.lambda_plus), mp.mpf(cs.lambda_minus)
@@ -538,19 +519,34 @@ def test_master_equation_bare_decay():
 
 
 def test_dephasing_leaves_populations_untouched():
-    # with g=0 and orthogonal patterns, dephasing acts only on coherences
-    psi = np.zeros(3, complex)
-    psi[0] = psi[2] = 1.0 / math.sqrt(2.0)
-    rho0 = np.outer(psi, psi.conj())
-    t = np.linspace(0.0, 20.0, 201)
+    # with g=0 and orthogonal patterns the populations (ee, 11, 00) evolve on
+    # their own, and dephasing, gamma_ph/2 (sigma_z rho sigma_z - rho), leaves
+    # their rows of the generator as they are: it only damps the coherences
+    # of |e,0> with the ground states, at gamma_ph
     base = SystemParams(g_abs=0.0, eta=0.0, gamma_ph=0.0)
     deph = dataclasses.replace(base, gamma_ph=37.0)
-    tr0, rhos0 = evolve_lindblad(base, rho0, t, return_states=True)
-    tr1, rhos1 = evolve_lindblad(deph, rho0, t, return_states=True)
-    assert np.abs(tr0.n_e - tr1.n_e).max() < 1e-12
-    assert np.abs(tr0.n_c - tr1.n_c).max() < 1e-12
-    # the emitter-vacuum coherence does decay faster under dephasing
-    assert abs(rhos1[-1, 0, 2]) < abs(rhos0[-1, 0, 2])
+    pops, damped = [0, 4, 8], [1, 2, 3, 6]    # rho_e1, rho_e0, rho_1e, rho_0e
+    l0, l1 = liouvillian_matrix(base), liouvillian_matrix(deph)
+    assert not np.delete(l0[pops], pops, axis=1).any()
+    assert np.array_equal(l1[pops], l0[pops])
+    expected = np.zeros(9)
+    expected[damped] = -37.0
+    assert np.abs(l1 - l0 - np.diag(expected)).max() < 1e-12
+
+
+def _density_matrices(traj):
+    """The (len, 3, 3) density matrices of a master-equation trajectory.
+
+    From the excited emitter there are no ground coherences, so (n_e, n_c,
+    pol) = (rho_ee, rho_11, rho_1e) hold every entry and rho_00 = 1 - rho_ee
+    - rho_11.
+    """
+    rhos = np.zeros((len(traj), 3, 3), complex)
+    rhos[:, 0, 0], rhos[:, 1, 1] = traj.n_e, traj.n_c
+    rhos[:, 2, 2] = 1.0 - traj.n_e - traj.n_c
+    rhos[:, 1, 0] = traj.pol
+    rhos[:, 0, 1] = traj.pol.conj()
+    return rhos
 
 
 def test_positivity_guard_reports_time_and_eigenvalue(baseline_params, monkeypatch):
@@ -562,20 +558,22 @@ def test_positivity_guard_reports_time_and_eigenvalue(baseline_params, monkeypat
         m.setattr(dynamics, "POSITIVITY_ABORT", -1e-3)
         evolve_lindblad(baseline_params, t_grid=t)
     assert "at t =" in str(err.value)
-    # mixed states, whose lowest eigenvalue has one clear minimum in time: the
-    # closed form (no ground coherences) and eigvalsh (with them) must report
-    # the eigenvalue and time that eigvalsh gives
-    psi = np.array([0.6, 0.0, 0.8], complex)
-    for rho0 in (np.diag([0.6, 0.3, 0.1]).astype(complex),
-                 0.5 * np.outer(psi, psi) + np.diag([0.1, 0.4, 0.0])):
-        _, rhos = evolve_lindblad(baseline_params, rho0, t, return_states=True)
-        lowest = np.linalg.eigvalsh(rhos)[:, 0]
-        k = int(np.argmin(lowest))
-        with monkeypatch.context() as m, pytest.raises(PositivityError) as err:
-            m.setattr(dynamics, "POSITIVITY_ABORT", -1.0)
-            evolve_lindblad(baseline_params, rho0, t)
-        assert str(err.value) == (f"density matrix eigenvalue {lowest[k]:.3e} < --1.0e+00 "
-                                  f"at t = {t[k]:.6e}")
+    # the time-reversed generator keeps the blocks and the trace but drains
+    # rho_00 below zero, to a lowest eigenvalue of about -10 at the last
+    # sample: the closed form must report the eigenvalue and time that
+    # eigvalsh gives on the density matrices rebuilt from the same run
+    backward = -liouvillian_matrix(baseline_params)
+    monkeypatch.setattr(dynamics, "liouvillian_matrix", lambda _p: backward)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "POSITIVITY_ABORT", np.inf)
+        traj = evolve_lindblad(baseline_params, t_grid=t)
+    lowest = np.linalg.eigvalsh(_density_matrices(traj))[:, 0]
+    k = int(np.argmin(lowest))
+    assert lowest[k] < -1.0
+    with pytest.raises(PositivityError) as err:
+        evolve_lindblad(baseline_params, t_grid=t)
+    assert str(err.value) == (f"density matrix eigenvalue {lowest[k]:.3e} < "
+                              f"-{dynamics.POSITIVITY_ABORT:.1e} at t = {t[k]:.6e}")
 
 
 def test_closed_form_lowest_eigenvalue_matches_eigvalsh(rng):
@@ -593,20 +591,23 @@ def test_closed_form_lowest_eigenvalue_matches_eigvalsh(rng):
     rhos[:, 0, 1] = (np.sqrt(purity * pop[:, 0] * pop[:, 1])
                      * np.exp(2j * np.pi * rng.uniform(size=n)))
     rhos[:, 1, 0] = rhos[:, 0, 1].conj()
-    _, states = evolve_lindblad(SystemParams(gamma_ph=11.0), t_grid=np.linspace(0.0, 1.0, 401),
-                                return_states=True)
+    states = _density_matrices(evolve_lindblad(SystemParams(gamma_ph=11.0),
+                                               t_grid=np.linspace(0.0, 1.0, 401)))
     for r in (rhos, states):
-        assert np.abs(_lowest_eigenvalues(r) - np.linalg.eigvalsh(r).min(axis=1)).max() <= 1e-15
+        closed = _lowest_eigenvalues(r[:, 0, 0].real, r[:, 1, 1].real, np.abs(r[:, 0, 1]),
+                                     r[:, 2, 2].real)
+        assert np.abs(closed - np.linalg.eigvalsh(r).min(axis=1)).max() <= 1e-15
 
 
 def test_density_matrix_invariants_along_evolution(rng):
     for eta in (0.0, 0.3, 0.7, 1.0):
         p = SystemParams(eta=eta, gamma_ph=11.0).with_reduced_detuning(-40.0)
         t = np.linspace(0.0, 1.0, 401)
-        traj, rhos = evolve_lindblad(p, t_grid=t, return_states=True)
-        assert np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max() < 1e-12
-        assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-10
-        assert np.linalg.eigvalsh(rhos).min() > -1e-9
+        traj = evolve_lindblad(p, t_grid=t)
+        lowest = np.linalg.eigvalsh(_density_matrices(traj))[:, 0]
+        assert traj.metadata["trace_defect"] < 1e-10
+        assert lowest.min() > -1e-9
+        assert abs(traj.metadata["min_eigenvalue"] - lowest.min()) <= 1e-15
         # Cauchy-Schwarz between the polarization and the populations
         assert np.all(np.abs(traj.pol) ** 2 <= traj.n_e * traj.n_c + 1e-9)
 
@@ -695,15 +696,6 @@ def test_input_validation():
     for method in ("simpson", "radau", "fixed"):
         with pytest.raises(ValueError):
             evolve_triple(p, t_grid=np.linspace(0, 1, 10), method=method)
-    with pytest.raises(ValueError):
-        evolve_lindblad(p, rho0=np.eye(2, dtype=complex),
-                        t_grid=np.linspace(0, 1, 10))
-    rho = excited_state_dm(); rho[0, 1] = 0.5  # not Hermitian
-    with pytest.raises(ValueError):
-        evolve_lindblad(p, rho0=rho, t_grid=np.linspace(0, 1, 10))
-    with pytest.raises(ValueError):
-        evolve_lindblad(p, rho0=2.0 * excited_state_dm(),
-                        t_grid=np.linspace(0, 1, 10))
     # NaN and inf sample times, which the strictly-increasing test cannot see
     for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
         with pytest.raises(ValueError):
@@ -712,6 +704,9 @@ def test_input_validation():
             evolve_lindblad(p, t_grid=bad)
         with pytest.raises(ValueError):
             coarse_grained_solution(p, bad)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(t=np.array(bad), n_e=np.zeros(3), n_c=np.zeros(3),
+                       pol=np.zeros(3, complex))
     with pytest.raises(ValueError):
         Trajectory(t=np.array([0.0, 0.0]), n_e=np.zeros(2), n_c=np.zeros(2),
                    pol=np.zeros(2, complex))

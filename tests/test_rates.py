@@ -13,7 +13,7 @@ from conftest import random_valid_params
 
 def test_coefficients_collapse_at_zero_overlap_on_resonance():
     p = SystemParams(eta=0.0, g_abs=7.0).with_reduced_detuning(0.0)
-    cs = rate_coefficients(derive_couplings(p), p)
+    cs = rate_coefficients(p)
     expected = 2.0 * 7.0 ** 2 / derive_couplings(p).gamma_tot
     for r in (cs.r_pp, cs.r_pm, cs.r_mp, cs.r_mm):
         assert abs(r - expected) < 1e-12 * expected
@@ -24,7 +24,7 @@ def test_population_trapping_coefficients():
     # rate matrix is singular, so the slow eigenvalue is exactly zero
     gamma, kappa = 0.05, 50.0
     p = SystemParams(g_abs=0.0, eta=1.0, gamma=gamma, kappa=kappa)
-    cs = rate_coefficients(derive_couplings(p), p)
+    cs = rate_coefficients(p)
     ref = gamma * kappa / (gamma + kappa)
     assert abs(cs.r_pm - (-ref)) < 1e-12 * ref
     assert abs(cs.r_mp - (-ref)) < 1e-12 * ref
@@ -38,7 +38,7 @@ def test_population_trapping_coefficients():
 def test_eigenvalues_match_independent_solver(rng):
     for _ in range(300):
         p = random_valid_params(rng)
-        cs = rate_coefficients(derive_couplings(p), p)
+        cs = rate_coefficients(p)
         ev = np.sort(np.linalg.eigvals(cs.coefficient_matrix(p)).real)
         scale = max(abs(cs.lambda_plus), abs(cs.lambda_minus))
         assert abs(ev[1] - cs.lambda_plus) <= 1e-10 * scale
@@ -48,17 +48,17 @@ def test_eigenvalues_match_independent_solver(rng):
 def test_coefficient_matrix_stacks_over_array_detuning():
     detunings = np.array([-100.0, 0.0, 100.0])
     pa = SystemParams().with_detuning(detunings)
-    stack = rate_coefficients(derive_couplings(pa), pa).coefficient_matrix(pa)
+    stack = rate_coefficients(pa).coefficient_matrix(pa)
     assert stack.shape == (3, 2, 2)
     for d, got in zip(detunings.tolist(), stack):
         p = SystemParams().with_detuning(d)
-        assert np.array_equal(got, rate_coefficients(derive_couplings(p), p).coefficient_matrix(p))
+        assert np.array_equal(got, rate_coefficients(p).coefficient_matrix(p))
 
 
 def test_vieta_identities(rng):
     for _ in range(300):
         p = random_valid_params(rng)
-        cs = rate_coefficients(derive_couplings(p), p)
+        cs = rate_coefficients(p)
         s_ref = -(p.gamma + p.kappa + cs.r_pm + cs.r_mp)
         p_ref = (cs.r_pm + p.kappa) * (cs.r_mp + p.gamma) - cs.r_pp * cs.r_mm
         assert abs(cs.lambda_plus + cs.lambda_minus - s_ref) <= 1e-10 * abs(s_ref)
@@ -153,7 +153,7 @@ def test_rate_profile_symmetric_at_zero_overlap(rng):
 def test_branch_ordering_and_continuity(rng):
     for _ in range(50):
         p = random_valid_params(rng)
-        cs = rate_coefficients(derive_couplings(p), p)
+        cs = rate_coefficients(p)
         assert -cs.lambda_plus <= -cs.lambda_minus
     # refinement check: W(eps) has no jumps on the kappa > gamma domain
     p = SystemParams(g_abs=35.0, eta=0.8, gamma_ph=5.0)
@@ -170,7 +170,7 @@ def test_slow_branch_warning_below_kappa_gamma():
     p = SystemParams(gamma=5.0, kappa=1.0, g_abs=0.3, eta=0.5)
     with pytest.warns(RegimeWarning):
         w = transition_rate(p)
-    cs = rate_coefficients(derive_couplings(p), p)
+    cs = rate_coefficients(p)
     assert w == -cs.lambda_minus
 
 
