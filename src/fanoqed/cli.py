@@ -13,6 +13,13 @@ output path and seed); energies are in ueV, angles in radians, times in
 delimiter, LF line endings, and a comment header carrying the full parameter
 snapshot.
 
+Every body value has the bytes of '%.17g' % x.  One array kernel writes the
+bodies (:func:`_slots`); the values it cannot decide, within 1e-9 of a
+rounding tie, and zeros, infinities and nan take '%.17g' itself.  The tests
+compare the kernel with one '%.17g' per value on random bit patterns, exact
+ties, powers of ten and their neighbours, subnormals and a hypothesis
+property, and the spectrum-map body with a row-by-row rebuild.
+
 Exit codes: 0 success, 1 validation failure, 2 config error (including a
 value the library's own input checks reject and an --out path that cannot be
 opened, which is checked before any work), 3 numeric error.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -34,7 +42,7 @@ from .params import (SystemParams, derive_couplings, collective_decay_min_eigenv
 from .rates import (rate_coefficients, transition_rate, transition_rate_weak,
                     purcell_rate, fano_formula, rate_sweep)
 from .dynamics import (evolve_triple, evolve_lindblad, coarse_grained_solution,
-                       IntegrationError, PositivityError)
+                       IntegrationError, PositivityError, _two_product)
 from .spectra import (spectral_poles, regression_matrix, integrated_moments,
                       total_spectrum, default_frequency_grid, _tail_pad, _grid_margin,
                       DivergentMomentsError, QuadratureConvergenceError)
@@ -165,15 +173,188 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# The CSV body kernel: '%.17g' % x for whole arrays.  Each value gets a
+# fixed 32-byte slot, four little-endian words of ASCII with NUL in every
+# unused byte: sign and the '0.000' lead of fixed form | first digit, point
+# | 8 digits | 8 digits | exponent 'e+NN' or 'e-NNN', separator.  Dropping
+# the NULs gives the text.
+_SLOT = 32
+_SEP = 29                    # the separator's byte in a slot
+_BLOCK = 2048                # values per kernel pass: its temporaries stay in cache
+_K_MIN, _K_MAX = -293, 341   # 16 - e10 over all finite doubles, e10 one off either way
+_X_MIN = -330                # lowest decimal exponent in the lead/exponent tables
+_U = np.uint64
+
+
+@functools.cache
+def _tables():
+    """Constants of the kernel, built once from exact integers.
+
+    For k in [_K_MIN, _K_MAX], 10**k = (hi + lo) * 2**e2 with hi in [1, 2)
+    and lo the rounded remainder: a double-double good to about 2**-106.
+    Then the ASCII words: 4-digit groups, the second half with trailing
+    zeros kept, the first with them dropped; the fixed-form leads and the
+    exponents by decimal exponent; byte masks of 0..8 bytes.
+    """
+    his, los, exps = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        e2 = num.bit_length() - den.bit_length()
+        mn, md = (num << -e2, den) if e2 < 0 else (num, den << e2)
+        if mn < md:                      # mn / md = 10**k / 2**e2 in [1, 2)
+            e2 -= 1
+            mn <<= 1
+        hi = mn / md                     # int / int rounds correctly
+        hn, hd = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((mn * hd - hn * md) / (md * hd))
+        exps.append(e2)
+    codes = np.arange(10000)
+    chars = [((codes // 10 ** (3 - j)) % 10 + 48) << (8 * j) for j in range(4)]
+    digits = np.concatenate([sum(c * (codes % 10 ** (4 - j) != 0) for j, c in enumerate(chars)),
+                             sum(chars)])
+    xs = range(_X_MIN, 1 - _X_MIN)
+    lead = [int.from_bytes(b"\0" + b"0." + b"0" * (-x - 1), "little") if -4 <= x < 0
+            else 0 for x in xs]
+    expo = [0 if -4 <= x < 17 else int.from_bytes(b"e%+03d" % x, "little") for x in xs]
+    tables = (np.array(his), np.array(los), np.array(exps, np.int32),
+              digits.astype(_U), np.array(lead, _U), np.array(expo, _U),
+              np.array([(1 << 8 * j) - 1 for j in range(9)], _U))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, e10):
+    """(p, err) with a * 10**(16 - e10) = p + err, err good to about 1e-14.
+
+    a is scaled by 2**e2 (exact) and multiplied by the double-double
+    mantissa, so nothing overflows or underflows for any finite double.
+    """
+    hi, lo, exps = _tables()[:3]
+    j = (16 - _K_MIN) - e10
+    s = np.ldexp(a, exps[j])
+    p, err = _two_product(s, hi[j])
+    return p, err + s * lo[j]
+
+
+def _slots(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for every v of the 1-D float array x, as (len(x), _SLOT) bytes.
+
+    The 17 significant digits are |v| * 10**(16 - e10) rounded to an integer
+    in [1e16, 1e17), e10 the decimal exponent.  That product comes as a
+    double-double good to about 1e-14, so only a fraction within 1e-9 of 1/2
+    (an exact tie, which '%.17g' rounds to even, or too close to call) needs
+    more; those values, zeros, infinities and nan take Python's own '%.17g'.
+    The _SEP byte of each slot is left NUL for the caller's separator.
+    """
+    digits, lead, expo, masks = _tables()[3:]
+    a = np.abs(x)
+    ok = np.isfinite(a) & (a != 0)
+    a = np.where(ok, a, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    p, err = _scaled(a, e10)
+    # log10 can miss floor(log10) by one next to a power of ten
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    fix = np.flatnonzero(low | high)
+    if len(fix):
+        e10[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], err[fix] = _scaled(a[fix], e10[fix])
+    whole = np.floor(err)
+    frac = err - whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e10 += carry
+    bad = np.flatnonzero(~ok | (np.abs(frac - 0.5) <= 1e-9))
+    # d = d0 | c1 c2 | c3 c4 in 4-digit groups; a group keeps its trailing
+    # zeros (the second half of the table) when a later group is nonzero
+    top = d // 10 ** 8
+    d0 = top // 10 ** 8
+    high8, low8 = top - d0 * 10 ** 8, d - top * 10 ** 8
+    c1, c3 = high8 // 10 ** 4, low8 // 10 ** 4
+    c2, c4 = high8 - c1 * 10 ** 4, low8 - c3 * 10 ** 4
+    nz3 = (c4 != 0) | (c3 != 0)
+    nz2 = nz3 | (c2 != 0)
+    words = np.empty((4, len(x)), _U)
+    words[1] = digits[c1 + 10000 * nz2] | (digits[c2 + 10000 * nz3] << _U(32))
+    words[2] = digits[c3 + 10000 * (c4 != 0)] | (digits[c4] << _U(32))
+    fixed = (e10 >= -4) & (e10 < 17)
+    point = (nz2 | (c1 != 0)) & (~fixed | (e10 == 0))
+    xi = e10 - _X_MIN
+    # bytes 0-7: the sign, the fixed-form lead, the first digit, the point
+    words[0] = (lead[xi] | np.signbit(x) * _U(45)
+                | ((d0 + 48 + (46 << 8) * point).astype(_U) << _U(48)))
+    words[3] = expo[xi]
+    move = np.flatnonzero(fixed & (e10 > 0))
+    if len(move):
+        c = [g[move] + 10000 for g in (c1, c2, c3, c4)]
+        _integer_part(words, move, e10[move], masks, digits[c[0]] | (digits[c[1]] << _U(32)),
+                      digits[c[2]] | (digits[c[3]] << _U(32)))
+    out = words.T.astype("<u8", order="C").view(np.uint8)
+    for i in bad.tolist():
+        text = ("%.17g" % x[i]).encode("ascii")
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _integer_part(words, rows, x, masks, full_b, full_c):
+    """Fixed form with x = 1..16 integer digits after the first.
+
+    Those digits keep their zeros (full_b, full_c: the digit words with all
+    zeros kept), and the point, if any fraction digit is left, moves from
+    after d0 to after d_x: d1..d_x move one byte down.
+    """
+    kb = np.minimum(x, 8)
+    mb, mc = masks[kb], masks[x - kb]
+    wb = (words[1][rows] & ~mb) | (full_b & mb)
+    wc = (words[2][rows] & ~mc) | (full_c & mc)
+    k = (x - 1) & 7
+    mk, mk1 = masks[k], masks[k + 1]
+    dot = (((wb & ~mb) | (wc & ~mc)) != 0) * ((mk + _U(1)) * _U(46))
+    words[0][rows] = (words[0][rows] & masks[7]) | (wb << _U(56))
+    tb = (wb >> _U(8)) | (wc << _U(56))
+    early = x <= 8
+    words[1][rows] = np.where(early, (tb & mk) | dot | (wb & ~mk1), tb)
+    words[2][rows] = np.where(early, wc, ((wc >> _U(8)) & mk) | dot | (wc & ~mk1))
+
+
+def _text(table: np.ndarray, rows: np.ndarray) -> str:
+    """CSV rows of a 2-D float table, each value as '%.17g' % v.
+
+    rows is a (len(table), w) byte buffer; the kernel writes the values into
+    its last table.shape[1] * _SLOT bytes per row, and what comes before is
+    each row's NUL-padded prefix.  Works in row blocks of about _BLOCK values.
+    """
+    m, k = table.shape
+    step = max(_BLOCK // k, 1)
+    slots = rows[:, rows.shape[1] - k * _SLOT:]
+    parts = []
+    for i in range(0, m, step):
+        block = slots[i:i + step]
+        block[...] = _slots(table[i:i + step].ravel()).reshape(len(block), k * _SLOT)
+        block[:, _SEP::_SLOT] = ord(",")
+        block[:, _SEP - _SLOT] = ord("\n")
+        parts.append(rows[i:i + step].tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
+
+
+def _padded(texts: list[str], width: int) -> np.ndarray:
+    """ASCII texts as the rows of a (len(texts), width) byte array, NUL-padded."""
+    return np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"),
+                         np.uint8).reshape(len(texts), width)
+
+
 def _rows(*columns) -> str:
-    """CSV rows of equal-length float columns, formatted by one '%' operation.
+    """CSV rows of equal-length float columns, each value as '%.17g' % v.
 
     '%.17g' % x gives the same text as f'{x:.17g}' (:func:`_fmt`) for every
     float, including signed zeros, subnormals, infinities and nan.
     """
-    table = np.column_stack(columns)
-    n, k = table.shape
-    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(table.ravel().tolist())
+    table = np.column_stack(columns).astype(float, copy=False)
+    return _text(table, np.empty((len(table), table.shape[1] * _SLOT), np.uint8))
 
 
 def _write_csv(path: str | None, comments: list[str], header: list[str],
@@ -181,8 +362,8 @@ def _write_csv(path: str | None, comments: list[str], header: list[str],
     """Deterministic CSV: '#' comment lines, one header row, LF endings.
 
     body is the data rows as text blocks, formatted beforehand in bulk by
-    :func:`_rows` or the row template of :func:`cmd_spectrum_map`, and
-    written here in order; no value is formatted one at a time.
+    :func:`_text` (directly or through :func:`_rows`), and written here in
+    order; no value is formatted one at a time.
     """
     out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
@@ -259,9 +440,9 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
     Detunings are omega21 - omega_c; those where total_spectrum finds the
     moments divergent (DivergentMomentsError, at the exact antiresonance) are
     skipped and reported as gap comments.  Every detuning shares one
-    frequency grid, so the nu column is formatted once, into a row template;
-    per kept detuning, only the detuning itself and its S_total values are
-    formatted.
+    frequency grid, so the nu column is formatted once, into NUL-padded row
+    prefixes; per kept detuning, only the detuning itself and its S_total
+    values are formatted.
     """
     mp = cfg.map
     ds = float(cfg.spectrum["ds"])
@@ -271,16 +452,22 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
     lo = min(0.0, -detunings.max()) - pad
     hi = max(0.0, -detunings.min()) + pad
     nu = np.linspace(lo, hi, int(cfg.spectrum["count"]))
-    template = "".join(f"@,{_fmt(x)},%.17g\n" for x in nu.tolist())
+    cells = [f"{text}," for text in _rows(nu).splitlines()]
+    heads = [f"{_fmt(d)}," for d in detunings.tolist()]
+    lead, width = max(map(len, heads)), max(map(len, cells))
+    # a row: the detuning and nu cells, NUL-padded, then the S_total slot
+    rows = np.empty((len(nu), lead + width + _SLOT), np.uint8)
+    rows[:, lead:-_SLOT] = _padded(cells, width)
     blocks, gaps = [], []
-    for detuning in detunings.tolist():
+    for detuning, head in zip(detunings.tolist(), heads):
         try:
             s_total = total_spectrum(cfg.params.with_detuning(detuning), nu, ds).s_total
         except DivergentMomentsError as exc:
             gaps.append(f"gap: detuning_ueV = {_fmt(detuning)} "
                         f"(lambda_plus = {_fmt(exc.lambda_plus)}, moments diverge)")
             continue
-        blocks.append(template.replace("@", _fmt(detuning)) % tuple(s_total.tolist()))
+        rows[:, :lead] = _padded([head], lead)
+        blocks.append(_text(s_total[:, None], rows))
     _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
                                           "detuning_ueV = omega21 - omega_c"],
                ["detuning_ueV", "nu_minus_omega21_ueV", "Stotal"], blocks,

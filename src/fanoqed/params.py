@@ -40,8 +40,11 @@ class SystemParams:
             differences, and an eV-scale absolute offset would only cost
             floating-point accuracy.
         omega_c: cavity resonance energy (same reference as omega21); may be
-            a numpy array, over which the rate layer broadcasts.  Functions
-            that need a scalar omega_c raise ValueError saying so.
+            a numpy array.  These broadcast over it: :func:`derive_couplings`,
+            :func:`reduced_detuning`, every function of the rate layer
+            (:mod:`fanoqed.rates`) and :func:`fanoqed.dynamics.adiabatic_polarization`.
+            Every other function of the dynamics and spectra layers needs a
+            scalar omega_c and raises ValueError saying so.
         g_abs: magnitude of the emitter-cavity coupling, >= 0.
         phi: phase of the coupling g = g_abs * exp(i*phi).
         gamma: radiative decay rate of the emitter, > 0.

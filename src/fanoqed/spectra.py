@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, derive_couplings
+from .params import SystemParams, _require_scalar_omega_c, derive_couplings
 from .rates import CoarseRateSystem, rate_coefficients
-from .dynamics import triple_generator_matrix, _matmul_dot2
+from .dynamics import adiabatic_polarization, triple_generator_matrix, _matmul_dot2
 
 __all__ = [
     "SpectralPoles",
@@ -128,6 +128,7 @@ def spectral_poles(p: SystemParams) -> SpectralPoles:
                +- sqrt(((kappa - gamma)/2 - gamma_ph + i*detuning)^2 - 4 g+* g-)/2
     with the principal square root assigned to gamma_p.
     """
+    _require_scalar_omega_c(p, "spectral_poles")
     dc = derive_couplings(p)
     rad = np.sqrt(complex(
         (0.5 * (p.kappa - p.gamma) - p.gamma_ph + 1j * dc.detuning) ** 2
@@ -143,6 +144,7 @@ def regression_matrix(p: SystemParams) -> np.ndarray:
     spectral poles, which is checked against an independent eigensolver in
     the test suite.
     """
+    _require_scalar_omega_c(p, "regression_matrix")
     dc = derive_couplings(p)
     g = p.g
     return np.array([
@@ -179,7 +181,7 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
     with one refinement step whose residual A I + y0 is a compensated (Dot2)
     product, as a check independent of the closed forms.
     """
-    dc = derive_couplings(p)
+    _require_scalar_omega_c(p, "integrated_moments")
     cs = rate_coefficients(p)
     _check_decaying(p, cs)
     if source == "coarse":
@@ -197,8 +199,7 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
                                  i_p=complex(x[2], x[3]))
     else:
         raise ValueError(f"unknown moment source {source!r}")
-    i_p = complex((-1j * np.conj(dc.g_plus) * i_e + 1j * np.conj(dc.g_minus) * i_c)
-                  / (1j * dc.detuning + dc.gamma_tot))
+    i_p = complex(adiabatic_polarization(p, i_e, i_c))
     return IntegratedMoments(i_e=float(i_e), i_c=float(i_c), i_p=i_p)
 
 
@@ -246,6 +247,7 @@ def spectrum_component(p: SystemParams, nu, ds: float, which: str,
     which is "21", "c" or "F"; nu may be a scalar or an array.  Components are
     real by construction (the real part of one rational fraction).
     """
+    _require_scalar_omega_c(p, "spectrum_component")
     if which not in COMPONENTS:
         raise ValueError(f"which must be one of {COMPONENTS}, got {which!r}")
     m = moments if moments is not None else integrated_moments(p)
@@ -260,6 +262,7 @@ def component_integral(p: SystemParams, which: str,
     Independent of the filter width; the three integrals add up to the
     emitted photon number.
     """
+    _require_scalar_omega_c(p, "component_integral")
     if which not in COMPONENTS:
         raise ValueError(f"which must be one of {COMPONENTS}, got {which!r}")
     m = moments if moments is not None else integrated_moments(p)
@@ -284,6 +287,7 @@ def default_frequency_grid(p: SystemParams, ds: float, n: int = 2001) -> np.ndar
 
     The padding is the larger of :func:`_tail_pad` and :func:`_grid_margin`.
     """
+    _require_scalar_omega_c(p, "default_frequency_grid")
     lo = min(0.0, p.omega_c - p.omega21)
     hi = max(0.0, p.omega_c - p.omega21)
     pad = max(_tail_pad(p, ds), _grid_margin(p, ds))
@@ -315,6 +319,7 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
     one term to the interference numerator, the spectral side of the
     interference that survives pure dephasing.
     """
+    _require_scalar_omega_c(p, "total_spectrum")
     if nu is None:
         nu = default_frequency_grid(p, ds)
     nu = np.asarray(nu, float)
@@ -412,6 +417,7 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float) -> np.ndarray:
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """
+    _require_scalar_omega_c(p, "spectrum_quadrature_oracle")
     nu_abs = np.atleast_1d(np.asarray(nu, float)) + p.omega21
     m = integrated_moments(p, source="ode")
     coarse = _oracle_total(p, nu_abs, ds, m, phase_per_panel=0.9)

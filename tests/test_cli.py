@@ -312,34 +312,39 @@ def test_spectrum_map_triples_and_gap(tmp_path):
 
 def test_spectrum_map_bytes_match_per_value_rebuild(tmp_path):
     # the map body rebuilt from total_spectrum row by row, one format call per
-    # value: guards the row template (detuning slot, row order, skipped rows)
+    # value: guards the row layout (detuning cell, row order, skipped rows).
+    # At g = 0, eta = 1 only detuning 0 is a gap: a map with gaps among kept
+    # rows, one where every detuning is a gap (empty body), one of one row block
     ds, count, g, kappa = 20.0, 41, 0.0, SystemParams().kappa
-    detunings = np.linspace(-30.0, 30.0, 5)
-    cfg = write_config(tmp_path, {
-        "params": {"g_abs": g, "eta": 1.0, "gamma_ph": 0.0},
-        "spectrum": {"ds": ds, "count": count},
-        "map": {"detuning_start": -30.0, "detuning_stop": 30.0, "count": 5},
-    })
-    out = str(tmp_path / "map.csv")
-    assert main(["spectrum-map", "--config", cfg, "--out", out]) == EXIT_OK
     p = SystemParams(g_abs=g, eta=1.0, gamma_ph=0.0)
-    pad = 20.0 * ds + 5.0 * g + 10.0 * max(kappa, ds, g)
-    nu = np.linspace(-detunings.max() - pad, -detunings.min() + pad, count)
-    body, footer, kept = [], [], 0
-    for d in detunings.tolist():
-        pd = p.with_detuning(d)
-        lam = rate_coefficients(pd).lambda_plus
-        if lam >= -1e-12 * (p.gamma + kappa):
-            footer.append(f"# gap: detuning_ueV = {d:.17g} "
-                          f"(lambda_plus = {lam:.17g}, moments diverge)\n")
-            continue
-        kept += 1
-        s_total = total_spectrum(pd, nu, ds).s_total
-        body.extend(f"{d:.17g},{x:.17g},{y:.17g}\n" for x, y in zip(nu, s_total))
-    assert kept >= 2 and footer
-    text = pathlib.Path(out).read_bytes().decode("utf-8")
-    _, tail = text.split("detuning_ueV,nu_minus_omega21_ueV,Stotal\n")
-    assert tail == "".join(body + footer)
+    for start, stop, n, kept_expected in ((-30.0, 30.0, 5, 4), (0.0, 0.0, 2, 0),
+                                          (12.5, 12.5, 1, 1)):
+        detunings = np.linspace(start, stop, n)
+        cfg = write_config(tmp_path, {
+            "params": {"g_abs": g, "eta": 1.0, "gamma_ph": 0.0},
+            "spectrum": {"ds": ds, "count": count},
+            "map": {"detuning_start": start, "detuning_stop": stop, "count": n},
+        })
+        out = str(tmp_path / "map.csv")
+        assert main(["spectrum-map", "--config", cfg, "--out", out]) == EXIT_OK
+        pad = 20.0 * ds + 5.0 * g + 10.0 * max(kappa, ds, g)
+        nu = np.linspace(min(0.0, -detunings.max()) - pad,
+                         max(0.0, -detunings.min()) + pad, count)
+        body, footer, kept = [], [], 0
+        for d in detunings.tolist():
+            pd = p.with_detuning(d)
+            lam = rate_coefficients(pd).lambda_plus
+            if lam >= -1e-12 * (p.gamma + kappa):
+                footer.append(f"# gap: detuning_ueV = {d:.17g} "
+                              f"(lambda_plus = {lam:.17g}, moments diverge)\n")
+                continue
+            kept += 1
+            s_total = total_spectrum(pd, nu, ds).s_total
+            body.extend(f"{d:.17g},{x:.17g},{y:.17g}\n" for x, y in zip(nu, s_total))
+        assert kept == kept_expected and len(footer) == n - kept
+        text = pathlib.Path(out).read_bytes().decode("utf-8")
+        _, tail = text.split("detuning_ueV,nu_minus_omega21_ueV,Stotal\n")
+        assert tail == "".join(body + footer)
 
 
 def test_spectrum_map_keeps_decaying_detuning_near_rate_zero(tmp_path):
@@ -438,10 +443,41 @@ def test_seventeen_digit_formatting(tmp_path):
 
 
 def test_rows_matches_per_value_format():
-    # one '%' operation over the table gives the bytes of one format per value
+    # the array kernel gives the bytes of one '%.17g' format per value
     edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
             -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, 3.0,
-            float(2**53 + 1)]
+            float(2**53 + 1), 1.7976931348623157e308, 100.0, 1e15 + 0.5]
     cols = (np.array(edge), np.array(edge[::-1]), edge[3:] + edge[:3])
     expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*cols))
     assert cli._rows(*cols) == expected
+
+    rng = np.random.default_rng(20240917)
+    # random bit patterns: all exponents, signs, subnormals, nan and inf payloads
+    bits = rng.integers(0, 2**64, 12000, dtype=np.uint64, endpoint=False).view(float)
+    # exact ties at the 17th digit (odd m/4 at 16 digits before the point):
+    # these must take the per-value fallback, which rounds half to even
+    ties = (rng.integers(2 * 10**15, 45 * 10**14, 2000) * 2 + 1) / 4.0
+    # 10^k and its neighbours, the %g switch points 1e-5 .. 1e-4 and 1e16 .. 1e17
+    # among them, where the decimal exponent and the layout change
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    near = np.concatenate([pow10, switch]) * np.array([[1.0], [-1.0]])
+    near = np.concatenate([near.ravel(), np.nextafter(near, 0).ravel(),
+                           np.nextafter(near, np.inf).ravel(),
+                           np.nextafter(near, -np.inf).ravel()])
+    subnormal = rng.integers(1, 2**52, 2000, dtype=np.uint64).view(float)
+    decades = rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-8, 20, 4000)
+    for values in (bits, ties, near, subnormal, decades, -decades):
+        assert cli._rows(values) == "".join(f"{x:.17g}\n" for x in values.tolist())
+
+
+def test_rows_matches_per_value_format_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=100, database=None, deadline=None)
+    @hypothesis.given(st.lists(st.floats(width=64), min_size=1, max_size=8))
+    def check(values):
+        assert cli._rows(np.array(values)) == "".join(f"{x:.17g}\n" for x in values)
+
+    check()

@@ -25,6 +25,29 @@ def detuned(gamma_ph=0.0, sign=-1):
     return SystemParams(gamma_ph=gamma_ph).with_detuning(sign * 3160.0)
 
 
+def test_scalar_only_functions_reject_array_detuning():
+    # the spectra layer does not broadcast over omega_c either: each function
+    # names itself in a ValueError instead of numpy's ambiguous-truth-value
+    # error or a TypeError from complex()
+    nu = np.array([-1000.0, 0.0, 1000.0])
+    table = {
+        "spectral_poles": spectral_poles,
+        "regression_matrix": regression_matrix,
+        "integrated_moments": integrated_moments,
+        "total_spectrum": lambda p: total_spectrum(p, ds=DS),
+        "default_frequency_grid": lambda p: default_frequency_grid(p, DS),
+        "spectrum_component": lambda p: spectrum_component(p, nu, DS, "21"),
+        "component_integral": lambda p: component_integral(p, "F"),
+        "spectrum_quadrature_oracle": lambda p: spectrum_quadrature_oracle(p, nu, DS),
+    }
+    scalar = SystemParams().with_detuning(-100.0)
+    array = SystemParams().with_detuning(np.array([-100.0, 0.0, 100.0]))
+    for name, call in table.items():
+        call(scalar)
+        with pytest.raises(ValueError, match=f"^{name} needs a scalar omega_c$"):
+            call(array)
+
+
 def test_poles_decoupled_limit():
     p = SystemParams(g_abs=0.0, eta=0.0, gamma_ph=0.0, omega_c=500.0)
     poles = spectral_poles(p)
