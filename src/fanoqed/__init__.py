@@ -7,8 +7,9 @@ The package is organized around four layers:
 * :mod:`fanoqed.params` -- physical inputs and derived couplings.
 * :mod:`fanoqed.rates` -- coarse-grained rate coefficients and the
   generalized transition rate with its weak-coupling and reference limits.
-* :mod:`fanoqed.dynamics` -- time evolution by two independent routes
-  (three-variable equations of motion and the full master equation).
+* :mod:`fanoqed.dynamics` -- time evolution by two routes, the
+  three-variable equations of motion and the full master equation, which
+  share one matrix-exponential propagator on permuted generators.
 * :mod:`fanoqed.spectra` -- filtered emission spectra, photon-number sum
   rule, and a quadrature oracle for the closed forms.
 

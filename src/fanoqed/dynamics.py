@@ -1,6 +1,6 @@
 """Time evolution of the emitter-cavity system in the one-excitation sector.
 
-Two independent routes are provided and cross-checked against each other:
+Two routes are provided and cross-checked against each other:
 
 * ``evolve_triple`` integrates the three coupled equations of motion for the
   excited-state population n_e = <sigma+ sigma->, the cavity photon number
@@ -15,19 +15,22 @@ Two independent routes are provided and cross-checked against each other:
   structure and, as the excited emitter has no ground coherences, propagates
   the one-excitation block alone as a real 4x4 generator.
 
-Both generators are linear and time independent, so the default integrator
-propagates with matrix exponentials: one batched scaling-and-squaring
-evaluation of the degree-13 Pade approximant for all distinct gaps of the
-grid, then a blocked scan of in-block prefix products that carries the state
-through those hops (``_hop``).  The exponentials are backward stable: every
-eigenvalue carries an absolute error of order eps*||A||, harmless for modes
-that decay at the generator's scale but amplified by t for a mode far slower
-than it, such as the one at the rate antiresonance.  Such slow modes, where
-an eigenvalue screen finds any, are split off and hopped by their own refined
-generator (``_propagate_expm``).
-Adaptive DOP853 (scipy's solve_ivp) is kept as the independent cross-check.
-In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, so the two
-routes must agree to integrator accuracy.
+Both generators are linear and time independent, so both routes propagate
+with matrix exponentials: one batched scaling-and-squaring evaluation of the
+degree-13 Pade approximant for all distinct gaps of the grid, then a blocked
+scan of in-block prefix products that carries the state through those hops
+(``_hop``).  The exponentials are backward stable: every eigenvalue carries
+an absolute error of order eps*||A||, harmless for modes that decay at the
+generator's scale but amplified by t for a mode far slower than it, such as
+the one at the rate antiresonance.  Such slow modes, where an eigenvalue
+screen finds any, are split off and hopped by their own refined generator
+(``_propagate_expm``).
+In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, and the
+one-excitation block is the triple generator with (n_c, n_e) swapped and the
+sign of Im p flipped, entry for entry.  The two routes thus share the
+propagation kernel on permuted generators and agree to rounding; their
+independent checks are in the tests, against an adaptive Dormand-Prince
+integration of the full 9x9 Liouvillian and against 40-digit exponentials.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class EnvelopeFitError(RuntimeError):
     """Envelope data could not be fit (non-positive values, degenerate fit)."""
 
 
-# DOP853's tolerances; the expm route's step-halving check allows 1e3 times them
-RTOL = 1e-10
-ATOL = 1e-12
 # evolve_lindblad raises PositivityError below a lowest eigenvalue of -POSITIVITY_ABORT
 POSITIVITY_ABORT = 1e-7
 
@@ -359,12 +359,15 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray):
     SLOW_MODE_RATIO*||A|| (such as the antiresonance mode) are therefore
     split off by their spectral projection of y0 and hopped with
     exponentials of their own refined k x k generator, whose eigenvalue
-    errors are of order eps*|l|.  The rest stays on the expm(A dt) hops.  The largest gap is validated by
-    comparing one full expm(A dt) hop against two half hops, which bounds
-    the local error of the exponential itself.
+    errors are of order eps*|l|.  The rest stays on the expm(A dt) hops.
+    The largest gap is validated by comparing one full expm(A dt) hop against
+    two half hops, which bounds the local error of the exponential itself;
+    IntegrationError is raised unless that defect is at most 1e-7*scale +
+    1e-9, with scale the largest |sample| floored at 1.
 
-    Returns (ys, defect, k): the samples as an (n, len(t)) array, that
-    step-halving defect and the number k of slow modes split off.
+    Returns (ys, info): the samples as an (n, len(t)) array and the
+    trajectory metadata entries integrator ("expm"), expm_defect (that
+    step-halving defect) and slow_modes (the number of slow modes split off).
     """
     gaps = np.diff(t)
     dts, hop_index = np.unique(gaps, return_inverse=True)
@@ -382,45 +385,26 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray):
     half, full = hops[-1], hops[-2]
     defect = np.abs(half @ half - full).max()
     scale = max(np.abs(ys).max(), 1.0)
-    if not defect <= 1e3 * (RTOL * scale + ATOL):    # a NaN defect fails too
+    if not defect <= 1e-7 * scale + 1e-9:    # a NaN defect fails too
         raise IntegrationError(
             f"matrix-exponential propagation failed validation: "
             f"step-halving defect {defect:.3e} at gap {dts[-1]:.3e}")
-    return ys.T, float(defect), len(gen)
+    return ys.T, {"integrator": "expm", "expm_defect": float(defect),
+                  "slow_modes": len(gen)}
 
 
-def _propagate(a, y0, t, method):
-    """Samples of dy/dt = A y and the integrator's metadata entries."""
-    if method == "expm":
-        ys, defect, k = _propagate_expm(a, y0, t)
-        return ys, {"integrator": "expm", "expm_defect": defect, "slow_modes": k}
-    if method != "dop853":
-        raise ValueError(f"unknown integration method {method!r}")
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(lambda _t, y: a @ y, (t[0], t[-1]), y0, t_eval=t,
-                    rtol=RTOL, atol=ATOL, method="DOP853")
-    if not sol.success:
-        raise IntegrationError(
-            f"DOP853 failed at t = {sol.t[-1] if len(sol.t) else t[0]}: "
-            f"{sol.message}")
-    return sol.y, {"integrator": "DOP853"}
-
-
-def evolve_triple(p: SystemParams, t_grid=None, method: str = "expm") -> Trajectory:
+def evolve_triple(p: SystemParams, t_grid=None) -> Trajectory:
     """Integrate the (n_e, n_c, p) equations of motion on a sample grid.
 
     The emitter starts excited: (n_e, n_c, p) = (1, 0, 0) at t = 0, the state
-    that the moments and the coarse-grained solution assume too.
-    method: "expm" (exact linear propagation, default; reruns give the same
-    bytes) or "dop853" (adaptive solve_ivp at RTOL and ATOL, the independent
-    cross-check).
+    that the moments and the coarse-grained solution assume too.  The
+    propagation is exact up to rounding, and reruns give the same bytes.
     """
     _require_scalar_omega_c(p, "evolve_triple")
     t = _check_t_grid(t_grid)
     a = triple_generator_matrix(p)
     y0 = np.array([0.0, 1.0, 0.0, 0.0])    # (n_c, n_e, Re p, Im p)
-    ys, info = _propagate(a, y0, t, method)
+    ys, info = _propagate_expm(a, y0, t)
     return Trajectory(
         t=t, n_e=ys[1], n_c=ys[0], pol=ys[2] + 1j * ys[3],
         metadata={**info, "equations": "bloch-triple", "params": p})
@@ -435,7 +419,7 @@ def _lowest_eigenvalues(r_ee, r_11, abs_e1, r_00):
     return np.minimum(r_00, 0.5 * (r_ee + r_11) - np.hypot(0.5 * (r_ee - r_11), abs_e1))
 
 
-def evolve_lindblad(p: SystemParams, t_grid=None, method: str = "expm") -> Trajectory:
+def evolve_lindblad(p: SystemParams, t_grid=None) -> Trajectory:
     """Integrate the full master equation from |e,0><e,0|; emit (n_e, n_c, pol).
 
     The emitter starts excited, as in evolve_triple.  The operator-built
@@ -474,7 +458,7 @@ def evolve_lindblad(p: SystemParams, t_grid=None, method: str = "expm") -> Traje
     b = liou[np.ix_([0, 4, 1], one)]
     b = np.column_stack([b[:, 0], b[:, 1], b[:, 2] + b[:, 3], 1j * (b[:, 2] - b[:, 3])])
     y0 = np.array([1.0, 0.0, 0.0, 0.0])
-    (n_e, n_c, re_e1, im_e1), info = _propagate(np.vstack([b.real, b[2].imag]), y0, t, method)
+    (n_e, n_c, re_e1, im_e1), info = _propagate_expm(np.vstack([b.real, b[2].imag]), y0, t)
     pol = np.conj(re_e1 + 1j * im_e1)
     r_00 = 1.0 - n_e - n_c
 
@@ -527,8 +511,7 @@ def adiabatic_polarization(p: SystemParams, n_e, n_c):
     over the population oscillations rather than an instantaneous value.
     """
     dc = derive_couplings(p)
-    return (-1j * np.conj(dc.g_plus) * np.asarray(n_e)
-            + 1j * np.conj(dc.g_minus) * np.asarray(n_c)) / (
+    return (-1j * np.conj(dc.g_plus) * n_e + 1j * np.conj(dc.g_minus) * n_c) / (
         1j * dc.detuning + dc.gamma_tot)
 
 
