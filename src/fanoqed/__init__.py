@@ -44,7 +44,6 @@ from .dynamics import (
     EnvelopeFitError,
     hamiltonian_matrix,
     triple_generator_matrix,
-    lindblad_generator,
     liouvillian_matrix,
     evolve_triple,
     evolve_lindblad,
@@ -79,8 +78,7 @@ __all__ = [
     "purcell_rate", "fano_formula", "rate_sweep",
     "Trajectory", "IntegrationError", "PositivityError",
     "TooFewExtremaError", "EnvelopeFitError",
-    "hamiltonian_matrix", "triple_generator_matrix", "lindblad_generator",
-    "liouvillian_matrix",
+    "hamiltonian_matrix", "triple_generator_matrix", "liouvillian_matrix",
     "evolve_triple", "evolve_lindblad", "coarse_grained_solution",
     "adiabatic_polarization", "envelope_decay_rate",
     "SpectralPoles", "IntegratedMoments", "SpectrumComponents",

@@ -8,12 +8,15 @@ Two routes are provided and cross-checked against each other:
 * ``evolve_lindblad`` integrates the full master equation for the 3x3 density
   matrix on the basis {|e,0>, |g,1>, |g,0>}, which is closed under the
   dynamics because the initial state carries one excitation and every
-  dissipator is excitation-non-increasing.  Its generator is built from the
-  operators and is block lower triangular: the one-excitation block
-  (rho_ee, rho_11, rho_e1) and the ground coherences (rho_e0, rho_10) evolve
-  on their own, and rho_00 follows from the trace.  The route checks that
-  structure and, as the excited emitter has no ground coherences, propagates
-  the one-excitation block alone as a real 4x4 generator.
+  dissipator is excitation-non-increasing.  Its generator
+  (``liouvillian_matrix``) is one Lindblad sum over the collective decay
+  matrix G of the channels (sigma-, a), whose gamma_f comes from
+  ``collective_decay_matrix``, not from ``derive_couplings``.  It is block
+  lower triangular: the one-excitation block (rho_ee, rho_11, rho_e1) and the
+  ground coherences (rho_e0, rho_10) evolve on their own, and rho_00 follows
+  from the trace.  The route checks that structure and, as the excited
+  emitter has no ground coherences, propagates the one-excitation block
+  alone as a real 4x4 generator.
 
 Both generators are linear and time independent, so both routes propagate
 with matrix exponentials: one batched scaling-and-squaring evaluation of the
@@ -28,9 +31,10 @@ screen finds any, are split off and hopped by their own refined generator
 In this sector the closure <sigma_z a+ a> = -<a+ a> is exact, and the
 one-excitation block is the triple generator with (n_c, n_e) swapped and the
 sign of Im p flipped, entry for entry.  The two routes thus share the
-propagation kernel on permuted generators and agree to rounding; their
-independent checks are in the tests, against an adaptive Dormand-Prince
-integration of the full 9x9 Liouvillian and against 40-digit exponentials.
+propagation kernel on permuted generators, though not the derivation of
+gamma_f, and agree to rounding; their independent checks are in the tests,
+against an adaptive Dormand-Prince integration of the full 9x9 Liouvillian
+and against 40-digit exponentials.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ import numpy as np
 
 # scipy is imported inside the functions that call it: `import fanoqed` stays
 # cheap for the commands that never propagate
-from .params import SystemParams, _require_scalar_omega_c, derive_couplings
+from .params import (SystemParams, _require_scalar_omega_c, collective_decay_matrix,
+                     derive_couplings)
 from .rates import rate_coefficients
 
 __all__ = [
@@ -52,13 +57,10 @@ __all__ = [
     "TooFewExtremaError",
     "EnvelopeFitError",
     "SIGMA_MINUS",
-    "SIGMA_PLUS",
     "A_OP",
-    "A_DAG",
     "SIGMA_Z",
     "hamiltonian_matrix",
     "triple_generator_matrix",
-    "lindblad_generator",
     "liouvillian_matrix",
     "evolve_triple",
     "evolve_lindblad",
@@ -88,16 +90,21 @@ class EnvelopeFitError(RuntimeError):
 POSITIVITY_ABORT = 1e-7
 
 
-# Operators on the ordered basis {|e,0>, |g,1>, |g,0>}.  sigma+ and a+ are the
-# in-sector projections; states with two excitations are excluded by
-# construction, not by tolerance.
+# Operators on the ordered basis {|e,0>, |g,1>, |g,0>}, in-sector projections;
+# states with two excitations are excluded by construction, not by tolerance.
 SIGMA_MINUS = np.zeros((3, 3)); SIGMA_MINUS[2, 0] = 1.0
-SIGMA_PLUS = SIGMA_MINUS.T.copy()
 A_OP = np.zeros((3, 3)); A_OP[2, 1] = 1.0
-A_DAG = A_OP.T.copy()
 SIGMA_Z = np.diag([1.0, -1.0, -1.0])
-_SIGMA_PLUS_A = SIGMA_PLUS @ A_OP      # |e,0><g,1|
-_A_DAG_SIGMA_MINUS = A_DAG @ SIGMA_MINUS
+
+# The master equation's terms on rho.ravel() (rho_ij at 3i + j, so A rho B is
+# kron(A, B^T)): for the decay channels L = (sigma-, a) of the collective decay
+# matrix G, D_jk = L_j rho L_k^+ - {L_k^+ L_j, rho}/2, weighted by G_jk (the
+# L are real, so L_k^+ = L_k^T); and the pure dephasing sigma_z rho sigma_z - rho
+_EYE3 = np.eye(3)
+_DISSIPATORS = [np.kron(lj, lk) - 0.5 * np.kron(lk.T @ lj, _EYE3)
+                - 0.5 * np.kron(_EYE3, (lk.T @ lj).T)
+                for lj in (SIGMA_MINUS, A_OP) for lk in (SIGMA_MINUS, A_OP)]
+_DEPHASING = np.kron(SIGMA_Z, SIGMA_Z) - np.eye(9)
 
 
 def _finite_increasing(t: np.ndarray) -> bool:
@@ -156,47 +163,24 @@ def triple_generator_matrix(p: SystemParams) -> np.ndarray:
         [a_nc.imag, a_ne.imag, -w, -dc.gamma_tot]])
 
 
-def lindblad_generator(p: SystemParams):
-    """Action rho -> drho/dt of the master equation, in the Schroedinger picture.
+def liouvillian_matrix(p: SystemParams) -> np.ndarray:
+    """9x9 complex generator of rho.ravel() under the master equation.
 
-    The cross dissipator couples the sigma- and a decay channels with the
-    complex rate gamma_f; its interaction-picture phases are absorbed by the
-    frame change, so the returned action is time independent.  For eta = 1 it
-    is equivalent to a single collective jump operator
+    -i(H x 1 - 1 x H^T) + sum_jk G_jk D_jk + (gamma_ph/2)(sigma_z x sigma_z - 1),
+    with H from hamiltonian_matrix and G the collective decay matrix over
+    (sigma-, a).  Its cross entries gamma_f couple the two decay channels;
+    their interaction-picture phases are absorbed by the frame change, so the
+    generator is time independent.  For eta = 1, G has rank one and the
+    channels merge into the single collective jump operator
     sqrt(gamma)*sigma- + exp(i(theta21 - theta_c))*sqrt(kappa)*a.
     """
-    _require_scalar_omega_c(p, "lindblad_generator")
-    dc = derive_couplings(p)
-    h = hamiltonian_matrix(p)
-    gamma, kappa, gph = p.gamma, p.kappa, p.gamma_ph
-    gf = dc.gamma_f
-    gfc = np.conj(gf)
-
-    def action(rho: np.ndarray) -> np.ndarray:
-        d = -1j * (h @ rho - rho @ h)
-        d += 0.5 * gamma * (2.0 * SIGMA_MINUS @ rho @ SIGMA_PLUS
-                            - SIGMA_PLUS @ SIGMA_MINUS @ rho
-                            - rho @ SIGMA_PLUS @ SIGMA_MINUS)
-        d += 0.5 * kappa * (2.0 * A_OP @ rho @ A_DAG
-                            - A_DAG @ A_OP @ rho - rho @ A_DAG @ A_OP)
-        d += 0.5 * gf * (2.0 * A_OP @ rho @ SIGMA_PLUS
-                         - _SIGMA_PLUS_A @ rho - rho @ _SIGMA_PLUS_A)
-        d += 0.5 * gfc * (2.0 * SIGMA_MINUS @ rho @ A_DAG
-                          - _A_DAG_SIGMA_MINUS @ rho - rho @ _A_DAG_SIGMA_MINUS)
-        if gph != 0.0:
-            d += 0.5 * gph * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-        return d
-
-    return action
-
-
-def liouvillian_matrix(p: SystemParams) -> np.ndarray:
-    """9x9 complex matrix form of the master-equation generator."""
     _require_scalar_omega_c(p, "liouvillian_matrix")
-    # one call on the stack of the nine basis matrices: the image of basis
-    # matrix k, raveled, is row k of the result and column k of the matrix
-    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    return lindblad_generator(p)(basis).reshape(9, 9).T
+    h = hamiltonian_matrix(p)
+    g = collective_decay_matrix(p.gamma, p.kappa, p.eta, p.theta21, p.theta_c)
+    liou = -1j * (np.kron(h, _EYE3) - np.kron(_EYE3, h.T))
+    for g_jk, d_jk in zip(g.ravel(), _DISSIPATORS):
+        liou += g_jk * d_jk
+    return liou + 0.5 * p.gamma_ph * _DEPHASING
 
 
 def _check_t_grid(t_grid) -> np.ndarray:
@@ -393,7 +377,7 @@ def _propagate_expm(a: np.ndarray, y0: np.ndarray, t: np.ndarray):
                   "slow_modes": len(gen)}
 
 
-def evolve_triple(p: SystemParams, t_grid=None) -> Trajectory:
+def evolve_triple(p: SystemParams, t_grid) -> Trajectory:
     """Integrate the (n_e, n_c, p) equations of motion on a sample grid.
 
     The emitter starts excited: (n_e, n_c, p) = (1, 0, 0) at t = 0, the state
@@ -419,10 +403,10 @@ def _lowest_eigenvalues(r_ee, r_11, abs_e1, r_00):
     return np.minimum(r_00, 0.5 * (r_ee + r_11) - np.hypot(0.5 * (r_ee - r_11), abs_e1))
 
 
-def evolve_lindblad(p: SystemParams, t_grid=None) -> Trajectory:
+def evolve_lindblad(p: SystemParams, t_grid) -> Trajectory:
     """Integrate the full master equation from |e,0><e,0|; emit (n_e, n_c, pol).
 
-    The emitter starts excited, as in evolve_triple.  The operator-built
+    The emitter starts excited, as in evolve_triple.  The Lindblad-sum
     Liouvillian is checked to be block lower triangular with exact zeros and
     to have a vanishing trace row (IntegrationError otherwise).  The ground
     coherences (rho_e0, rho_10) start and stay zero, so only the

@@ -169,8 +169,13 @@ def collective_decay_matrix(gamma: float, kappa: float, eta: float,
                             theta_c: float = 0.0) -> np.ndarray:
     """2x2 decay matrix [[gamma, gamma_f*], [gamma_f, kappa]] over (sigma-, a).
 
-    Takes raw floats on purpose: diagnostic code needs to probe invalid
-    overlaps (eta outside [0, 1]) that SystemParams would reject.
+    The weights G_jk of the master equation's dissipators
+    (:func:`fanoqed.dynamics.liouvillian_matrix`) and of the quadrature
+    oracle's correlator kernels; its gamma_f is derived here, apart from
+    :func:`derive_couplings`, so that those two routes check the closed forms
+    and the equations of motion against a second derivation.  Takes raw
+    floats on purpose: diagnostic code needs to probe invalid overlaps (eta
+    outside [0, 1]) that SystemParams would reject.
     """
     gamma_f = cmath.exp(1j * (theta21 - theta_c)) * cmath.sqrt(
         complex(eta * gamma * kappa))

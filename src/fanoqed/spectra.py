@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, _require_scalar_omega_c, derive_couplings
+from .params import (SystemParams, _require_scalar_omega_c, collective_decay_matrix,
+                     derive_couplings)
 from .rates import CoarseRateSystem, rate_coefficients
 from .dynamics import adiabatic_polarization, triple_generator_matrix, _matmul_dot2
 
@@ -370,11 +371,14 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     b_r = _matrix_powers(expm(damped * h), n_r + 1)
     a_kk = _matrix_powers(b_r[n_r], n_kk)
     # correlator kernels: C(tau) times the integrated moments (the trajectory-time
-    # integral, reduced exactly by t - tau -> s); V weights them by the emitter and
-    # cavity rates and, on swapped rows, by the interference rate gamma_f
+    # integral, reduced exactly by t - tau -> s); V = G N^T/pi weights them by the
+    # collective decay matrix G of the master equation, with N_jk the integral of
+    # <L_k^+ L_j> over the channels L = (sigma-, a).  The product is summed
+    # elementwise: near the rate zero the terms cancel by about 1e7, and a
+    # matmul's other rounding moves the oracle by up to 1e-9 of its peak
     mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
-    gf = np.array([[np.conj(dc.gamma_f)], [dc.gamma_f]])
-    v = (np.array([[p.gamma], [p.kappa]]) * mom + gf * mom[::-1]) / math.pi
+    g = collective_decay_matrix(p.gamma, p.kappa, p.eta, p.theta21, p.theta_c)
+    v = (g[:, :, None] * mom).sum(axis=1) / math.pi
     # W = w_j sum_ab (A_kk B_r O_j)_ab V_ab = sum_ad A_kk[a, d] (q_j B_r^T)[a, d] has
     # rank 4 between kk and (r, j), so S(nu) = Re sum_acd P_A[a, d] Q[a, c] P_B[d, c]
     # with P_A = sum_kk e^{i nu kk n_r h} A_kk, P_B = sum_r e^{i nu r h} B_r and

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -435,6 +436,42 @@ def test_validate_reports_injected_violation(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] collective_decay_psd" in out
     assert "validate: 1 check(s) failed" in out
+
+
+def test_validate_and_oracle_catch_a_conjugated_cross_decay_rate(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a wrong gamma_f in derive_couplings reaches the closed forms and the
+    # equations of motion; the master equation and the oracle's weights take
+    # gamma_f from the collective decay matrix instead, so their checks see it
+    from fanoqed import dynamics, params, rates, spectra
+    original = params.derive_couplings
+
+    def conjugated(p):
+        dc = original(p)
+        gf = np.conj(dc.gamma_f)
+        return dataclasses.replace(dc, gamma_f=gf, g_plus=p.g + 0.5j * gf,
+                                   g_minus=p.g - 0.5j * gf)
+
+    for module in (params, rates, dynamics, spectra, cli):
+        monkeypatch.setattr(module, "derive_couplings", conjugated)
+    cfg = write_config(tmp_path, {"validate": {"draws": 20}})
+    assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    failed = {line.split("]")[1].split(":")[0].strip()
+              for line in out.splitlines() if line.startswith("[FAIL]")}
+    assert failed == {"fano_recovery", "dynamics_cross_oracle"}
+
+    p = SystemParams(eta=1.0, gamma_ph=0.0).with_detuning(0.0)
+    nu = np.linspace(-1050.0, 1050.0, 211)
+    closed = total_spectrum(p, nu, 20.0).s_total
+    oracle = spectra.spectrum_quadrature_oracle(p, nu, 20.0)
+    assert np.linalg.norm(oracle - closed) / np.linalg.norm(closed) > 1e-3
+
+    def unavailable(p):
+        raise AssertionError("the master-equation route reads derive_couplings")
+
+    monkeypatch.setattr(dynamics, "derive_couplings", unavailable)
+    dynamics.evolve_lindblad(p, t_grid=np.linspace(0.0, 1.0, 11))
 
 
 def test_stdout_output(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients, transiti
                      Trajectory,
                      evolve_triple, evolve_lindblad, coarse_grained_solution,
                      adiabatic_polarization, envelope_decay_rate,
-                     lindblad_generator, liouvillian_matrix, hamiltonian_matrix,
+                     liouvillian_matrix, hamiltonian_matrix,
                      triple_generator_matrix, TooFewExtremaError,
                      EnvelopeFitError)
 from fanoqed import dynamics
@@ -427,7 +427,6 @@ def test_scalar_only_functions_reject_array_detuning():
     table = {
         "hamiltonian_matrix": hamiltonian_matrix,
         "triple_generator_matrix": triple_generator_matrix,
-        "lindblad_generator": lindblad_generator,
         "liouvillian_matrix": liouvillian_matrix,
         "evolve_triple": lambda p: evolve_triple(p, t_grid=t),
         "evolve_lindblad": lambda p: evolve_lindblad(p, t_grid=t),
@@ -511,29 +510,33 @@ def test_polarization_follows_quasi_steady_value_when_detuned(baseline_params):
     assert abs(mean_p - mean_locked) <= 0.10 * abs(mean_locked)
 
 
+def _apply(liou, rho):
+    """The 3x3 action of a Liouvillian matrix on rho (row-major vectorization)."""
+    return (liou @ rho.ravel()).reshape(3, 3)
+
+
 def test_generator_annihilates_vacuum(baseline_params):
-    gen = lindblad_generator(baseline_params)
     vacuum = np.zeros((3, 3), complex)
     vacuum[2, 2] = 1.0
-    out = gen(vacuum)
+    out = _apply(liouvillian_matrix(baseline_params), vacuum)
     assert np.abs(out).max() == 0.0
 
 
 def test_generator_is_trace_preserving(rng):
     p = random_valid_params(rng)
-    gen = lindblad_generator(p)
+    liou = liouvillian_matrix(p)
     for _ in range(100):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
-        assert abs(np.trace(gen(rho))) < 1e-12
+        assert abs(np.trace(_apply(liou, rho))) < 1e-12
 
 
 def test_full_overlap_equals_single_collective_jump(rng):
     # at eta=1 the decay matrix is rank one, so the two channels merge into
     # L = sqrt(gamma) sigma- + exp(i(theta21 - theta_c)) sqrt(kappa) a
     p = SystemParams(eta=1.0, gamma_ph=7.0, omega_c=300.0)
-    gen = lindblad_generator(p)
+    liou = liouvillian_matrix(p)
     h = hamiltonian_matrix(p)
     jump = (math.sqrt(p.gamma) * SIGMA_MINUS
             + np.exp(1j * (p.theta21 - p.theta_c)) * math.sqrt(p.kappa) * A_OP)
@@ -545,15 +548,29 @@ def test_full_overlap_equals_single_collective_jump(rng):
         ref += jump @ rho @ jump.conj().T - 0.5 * (
             jump.conj().T @ jump @ rho + rho @ jump.conj().T @ jump)
         ref += 0.5 * p.gamma_ph * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-        assert np.abs(gen(rho) - ref).max() < 1e-12
+        assert np.abs(_apply(liou, rho) - ref).max() < 1e-12
 
 
 def test_liouvillian_matrix_matches_action(rng):
-    p = random_valid_params(rng)
-    gen = lindblad_generator(p)
-    liou = liouvillian_matrix(p)
-    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.abs((liou @ x.ravel()).reshape(3, 3) - gen(x)).max() < 1e-12
+    # the master equation written out channel by channel: emitter decay,
+    # cavity decay, the two cross terms at gamma_f (from derive_couplings, a
+    # derivation of its own) and pure dephasing
+    p = dataclasses.replace(random_valid_params(rng), eta=rng.uniform(0.1, 0.9),
+                            gamma_ph=rng.uniform(1.0, 40.0),
+                            phi=rng.uniform(-math.pi, math.pi),
+                            theta21=rng.uniform(-math.pi, math.pi),
+                            theta_c=rng.uniform(-math.pi, math.pi))
+    sm, sp, a, ad = SIGMA_MINUS, SIGMA_MINUS.T, A_OP, A_OP.T
+    gf = derive_couplings(p).gamma_f
+    h = hamiltonian_matrix(p)
+    rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ref = -1j * (h @ rho - rho @ h)
+    ref += 0.5 * p.gamma * (2.0 * sm @ rho @ sp - sp @ sm @ rho - rho @ sp @ sm)
+    ref += 0.5 * p.kappa * (2.0 * a @ rho @ ad - ad @ a @ rho - rho @ ad @ a)
+    ref += 0.5 * gf * (2.0 * a @ rho @ sp - sp @ a @ rho - rho @ sp @ a)
+    ref += 0.5 * np.conj(gf) * (2.0 * sm @ rho @ ad - ad @ sm @ rho - rho @ ad @ sm)
+    ref += 0.5 * p.gamma_ph * (SIGMA_Z @ rho @ SIGMA_Z - rho)
+    assert np.abs(_apply(liouvillian_matrix(p), rho) - ref).max() < 1e-12
 
 
 def test_master_equation_bare_decay():
