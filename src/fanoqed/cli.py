@@ -39,12 +39,13 @@ import numpy as np
 
 from .params import (SystemParams, derive_couplings, collective_decay_min_eigenvalue,
                      HBAR_UEV_PS)
-from .rates import (rate_coefficients, transition_rate, transition_rate_weak,
-                    purcell_rate, fano_formula, rate_sweep)
+from .rates import (CoarseRateSystem, rate_coefficients, transition_rate,
+                    transition_rate_weak, purcell_rate, fano_formula, rate_sweep)
 from .dynamics import (evolve_triple, evolve_lindblad, coarse_grained_solution,
                        IntegrationError, PositivityError, _two_product)
-from .spectra import (spectral_poles, regression_matrix, integrated_moments,
-                      total_spectrum, default_frequency_grid, _tail_pad, _grid_margin,
+from .spectra import (spectral_poles, regression_matrix, total_spectrum,
+                      default_frequency_grid, _tail_pad, _grid_margin, _check_grid,
+                      _coarse_moments, _moments_diverge, _total,
                       DivergentMomentsError, QuadratureConvergenceError)
 
 __all__ = ["RunConfig", "load_config", "main",
@@ -180,7 +181,14 @@ def _fmt(x: float) -> str:
 # the NULs gives the text.
 _SLOT = 32
 _SEP = 29                    # the separator's byte in a slot
-_BLOCK = 2048                # values per kernel pass: its temporaries stay in cache
+# values per kernel pass, each of which pays about 50 numpy calls.  On a
+# 2-vCPU Xeon VM (median of 5 interleaved minima), 2048 / 8192 / 16384 took
+# the default spectrum-map 48.8 / 38.9 / 37.0 ms, a 322k-value column
+# 133 / 103 / 100 ns per value and the default 2001 x 5 spectrum table
+# 1.07 / 0.83 / 0.73 ms, at a peak memory of 45.6 / 46.6 / 48.7 MB for one
+# map in a fresh process.  The step past 8192 costs twice the memory for
+# little time.
+_BLOCK = 8192
 _K_MIN, _K_MAX = -293, 341   # 16 - e10 over all finite doubles, e10 one off either way
 _X_MIN = -330                # lowest decimal exponent in the lead/exponent tables
 _U = np.uint64
@@ -321,8 +329,8 @@ def _integer_part(words, rows, x, masks, full_b, full_c):
     words[2][rows] = np.where(early, wc, ((wc >> _U(8)) & mk) | dot | (wc & ~mk1))
 
 
-def _text(table: np.ndarray, rows: np.ndarray) -> str:
-    """CSV rows of a 2-D float table, each value as '%.17g' % v.
+def _text(table: np.ndarray, rows: np.ndarray) -> bytes:
+    """CSV rows of a 2-D float table, each value as '%.17g' % v, in ASCII.
 
     rows is a (len(table), w) byte buffer; the kernel writes the values into
     its last table.shape[1] * _SLOT bytes per row, and what comes before is
@@ -337,17 +345,17 @@ def _text(table: np.ndarray, rows: np.ndarray) -> str:
         block[...] = _slots(table[i:i + step].ravel()).reshape(len(block), k * _SLOT)
         block[:, _SEP::_SLOT] = ord(",")
         block[:, _SEP - _SLOT] = ord("\n")
-        parts.append(rows[i:i + step].tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        parts.append(rows[i:i + step].tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
-def _padded(texts: list[str], width: int) -> np.ndarray:
+def _padded(texts: list[bytes], width: int) -> np.ndarray:
     """ASCII texts as the rows of a (len(texts), width) byte array, NUL-padded."""
-    return np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"),
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
                          np.uint8).reshape(len(texts), width)
 
 
-def _rows(*columns) -> str:
+def _rows(*columns) -> bytes:
     """CSV rows of equal-length float columns, each value as '%.17g' % v.
 
     '%.17g' % x gives the same text as f'{x:.17g}' (:func:`_fmt`) for every
@@ -358,24 +366,27 @@ def _rows(*columns) -> str:
 
 
 def _write_csv(path: str | None, comments: list[str], header: list[str],
-               body: list[str], footer: list[str] = ()):
+               body: list[bytes], footer: list[str] = ()):
     """Deterministic CSV: '#' comment lines, one header row, LF endings.
 
-    body is the data rows as text blocks, formatted beforehand in bulk by
+    body is the data rows as ASCII blocks, formatted beforehand in bulk by
     :func:`_text` (directly or through :func:`_rows`), and written here in
-    order; no value is formatted one at a time.
+    order; no value is formatted one at a time.  A file is written in
+    binary; stdout gets text, since a caller may have swapped in a text
+    stream (io.StringIO) for sys.stdout.
     """
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
-    try:
-        for line in comments:
-            out.write(f"# {line}\n")
-        out.write(",".join(header) + "\n")
+    head = "".join(f"# {line}\n" for line in comments) + ",".join(header) + "\n"
+    tail = "".join(f"# {line}\n" for line in footer)
+    if path is None:
+        sys.stdout.write(head)
+        for block in body:
+            sys.stdout.write(block.decode("ascii"))
+        sys.stdout.write(tail)
+        return
+    with open(path, "wb") as out:
+        out.write(head.encode("utf-8"))
         out.writelines(body)
-        for line in footer:
-            out.write(f"# {line}\n")
-    finally:
-        if path is not None:
-            out.close()
+        out.write(tail.encode("utf-8"))
 
 
 def _snapshot(cfg: RunConfig) -> list[str]:
@@ -437,37 +448,49 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_spectrum_map(cfg: RunConfig) -> int:
     """Total spectrum over a (detuning, frequency) grid as long-format triples.
 
-    Detunings are omega21 - omega_c; those where total_spectrum finds the
-    moments divergent (DivergentMomentsError, at the exact antiresonance) are
-    skipped and reported as gap comments.  Every detuning shares one
-    frequency grid, so the nu column is formatted once, into NUL-padded row
-    prefixes; per kept detuning, only the detuning itself and its S_total
-    values are formatted.
+    Detunings are omega21 - omega_c.  One broadcast rate call over all of
+    them finds the gaps first: detunings where the moments diverge
+    (total_spectrum's DivergentMomentsError, at the exact antiresonance) are
+    skipped and reported as gap comments.  The kept ones go in blocks of
+    B = max(1, _BLOCK // n) for n frequencies, each with one broadcast total
+    (spectra._total, which total_spectrum calls for one detuning) and one
+    kernel pass over its B * n values, kept as bytes up to the file.  The nu
+    column, shared by every detuning, is formatted once into NUL-padded row
+    prefixes.  The CSV bytes are those of one total_spectrum call per
+    detuning and one '%.17g' per value.
     """
     mp = cfg.map
     ds = float(cfg.spectrum["ds"])
+    p = cfg.params
     detunings = np.linspace(float(mp["detuning_start"]), float(mp["detuning_stop"]),
                             int(mp["count"]))
-    pad = _tail_pad(cfg.params, ds) + _grid_margin(cfg.params, ds)
+    pad = _tail_pad(p, ds) + _grid_margin(p, ds)
     lo = min(0.0, -detunings.max()) - pad
     hi = max(0.0, -detunings.min()) + pad
     nu = np.linspace(lo, hi, int(cfg.spectrum["count"]))
-    cells = [f"{text}," for text in _rows(nu).splitlines()]
-    heads = [f"{_fmt(d)}," for d in detunings.tolist()]
-    lead, width = max(map(len, heads)), max(map(len, cells))
+    swept = p.with_detuning(detunings)
+    cs = rate_coefficients(swept)
+    gap = _moments_diverge(swept, cs.lambda_plus)
+    gaps = [f"gap: detuning_ueV = {_fmt(d)} (lambda_plus = {_fmt(lam)}, moments diverge)"
+            for d, lam in zip(detunings[gap].tolist(), cs.lambda_plus[gap].tolist())]
+    kept = detunings[~gap]
+    i_p = _coarse_moments(p.with_detuning(kept),
+                          CoarseRateSystem(**{k: v[~gap] for k, v in vars(cs).items()})).i_p
+    cells = [text + b"," for text in _rows(nu).splitlines()]
+    heads = [f"{_fmt(d)},".encode("ascii") for d in kept.tolist()]
+    lead, width = max(map(len, heads), default=0), max(map(len, cells))
+    step = max(min(_BLOCK // len(nu), len(kept)), 1)
     # a row: the detuning and nu cells, NUL-padded, then the S_total slot
-    rows = np.empty((len(nu), lead + width + _SLOT), np.uint8)
-    rows[:, lead:-_SLOT] = _padded(cells, width)
-    blocks, gaps = [], []
-    for detuning, head in zip(detunings.tolist(), heads):
-        try:
-            s_total = total_spectrum(cfg.params.with_detuning(detuning), nu, ds).s_total
-        except DivergentMomentsError as exc:
-            gaps.append(f"gap: detuning_ueV = {_fmt(detuning)} "
-                        f"(lambda_plus = {_fmt(exc.lambda_plus)}, moments diverge)")
-            continue
-        rows[:, :lead] = _padded([head], lead)
-        blocks.append(_text(s_total[:, None], rows))
+    rows = np.empty((step, len(nu), lead + width + _SLOT), np.uint8)
+    rows[:, :, lead:-_SLOT] = _padded(cells, width)
+    blocks = []
+    for i in range(0, len(kept), step):
+        block = p.with_detuning(kept[i:i + step, None])
+        _check_grid(block, nu, ds)
+        s_total = _total(block, nu, ds, i_p[i:i + step, None])[2]
+        used = rows[:len(s_total)]
+        used[:, :, :lead] = _padded(heads[i:i + step], lead)[:, None]
+        blocks.append(_text(s_total.reshape(-1, 1), used.reshape(-1, used.shape[2])))
     _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
                                           "detuning_ueV = omega21 - omega_c"],
                ["detuning_ueV", "nu_minus_omega21_ueV", "Stotal"], blocks,
@@ -509,18 +532,19 @@ def _validate_checks(cfg: RunConfig):
     yield ("vieta_identities", worst, 1e-10, "trace/determinant of the rate matrix")
 
     worst = 0.0
-    for p, cs in zip(sets, coarse):
-        ev = np.sort(np.linalg.eigvals(cs.coefficient_matrix(p)).real)
+    # one eigensolver call on the stack runs LAPACK per matrix, as single calls do
+    evs = np.linalg.eigvals(np.stack([cs.coefficient_matrix(p) for p, cs in zip(sets, coarse)]))
+    for cs, ev in zip(coarse, np.sort(evs.real, axis=-1)):
         scale = max(abs(cs.lambda_plus), abs(cs.lambda_minus))
         worst = max(worst, abs(ev[1] - cs.lambda_plus) / scale,
                     abs(ev[0] - cs.lambda_minus) / scale)
     yield ("eigenvalue_oracle", worst, 1e-10, "closed-form vs numpy eigensolver")
 
     worst = 0.0
-    for p in sets:
+    evs = np.linalg.eigvals(np.stack([regression_matrix(p) for p in sets]))
+    for p, ev in zip(sets, evs):
         poles = spectral_poles(p)
-        ev = sorted(np.linalg.eigvals(regression_matrix(p)),
-                    key=lambda z: (z.real, z.imag))
+        ev = sorted(ev, key=lambda z: (z.real, z.imag))
         got = sorted((poles.gamma_p, poles.gamma_m), key=lambda z: (z.real, z.imag))
         worst = max(worst, max(abs(a - b) / abs(b) for a, b in zip(got, ev)))
     yield ("pole_regression_duality", worst, 1e-10,
@@ -532,7 +556,7 @@ def _validate_checks(cfg: RunConfig):
         if cs.lambda_plus >= -1e-6 * p.kappa:
             continue
         used += 1
-        worst = max(worst, abs(integrated_moments(p).sum_rule(p) - 1.0))
+        worst = max(worst, abs(_coarse_moments(p, cs).sum_rule(p) - 1.0))
     yield ("photon_sum_rule", worst, 1e-9, f"{used} decaying parameter sets")
 
     worst = 0.0

@@ -146,18 +146,40 @@ def regression_matrix(p: SystemParams) -> np.ndarray:
     the test suite.
     """
     _require_scalar_omega_c(p, "regression_matrix")
+    return np.array(_regression(p))
+
+
+def _regression(p: SystemParams):
+    """The entries of :func:`regression_matrix` as nested lists.
+
+    Only M_22 depends on omega_c, and only it takes the shape of an array
+    omega_c; the other three stay scalars, so that products of them round
+    as in a scalar call.
+    """
     dc = derive_couplings(p)
     g = p.g
-    return np.array([
-        [-1j * p.omega21 - 0.5 * p.gamma - p.gamma_ph, -1j * g - 0.5 * dc.gamma_f],
-        [-1j * np.conj(g) - 0.5 * np.conj(dc.gamma_f), -1j * p.omega_c - 0.5 * p.kappa]])
+    return [[-1j * p.omega21 - 0.5 * p.gamma - p.gamma_ph, -1j * g - 0.5 * dc.gamma_f],
+            [-1j * np.conj(g) - 0.5 * np.conj(dc.gamma_f), -1j * p.omega_c - 0.5 * p.kappa]]
 
 
-def _check_decaying(p: SystemParams, cs: CoarseRateSystem) -> None:
-    """Raise DivergentMomentsError unless the coarse evolution decays."""
+def _moments_diverge(p: SystemParams, lambda_plus):
+    """True where the coarse evolution does not decay, so the moments diverge."""
     # exact antiresonance lands at lambda_plus = 0 up to rounding; both signs occur
-    if cs.lambda_plus >= -1e-12 * (p.gamma + p.kappa):
-        raise DivergentMomentsError(cs.lambda_plus)
+    return lambda_plus >= -1e-12 * (p.gamma + p.kappa)
+
+
+def _coarse_moments(p: SystemParams, cs: CoarseRateSystem) -> IntegratedMoments:
+    """The coarse closed-form moments from the computed rate system cs of p.
+
+    I_e = (R_pm + kappa)/(L+ L-), I_c = R_pp/(L+ L-), and I_p the
+    quasi-steady polarization, linear in (I_e, I_c).  Broadcasts over an
+    array omega_c, with the bits of one scalar call per entry; the caller
+    has left out the omega_c where the moments diverge.
+    """
+    det = cs.lambda_plus * cs.lambda_minus
+    i_e = (cs.r_pm + p.kappa) / det
+    i_c = cs.r_pp / det
+    return IntegratedMoments(i_e=i_e, i_c=i_c, i_p=adiabatic_polarization(p, i_e, i_c))
 
 
 def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMoments:
@@ -175,21 +197,20 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
     ``CoarseRateSystem.coefficient_matrix``.  So both sources give the same
     moments up to rounding.
 
-    source="coarse" evaluates the closed forms of the coarse-grained system:
-    I_e = (R_pm + kappa)/(L+ L-), I_c = R_pp/(L+ L-), and I_p from the
-    quasi-steady polarization, which is linear in (I_e, I_c).
+    source="coarse" evaluates the closed forms of the coarse-grained system
+    (:func:`_coarse_moments`).
     source="ode" solves A I = -y0 on the full equations of motion instead,
     with one refinement step whose residual A I + y0 is a compensated (Dot2)
     product, as a check independent of the closed forms.
     """
     _require_scalar_omega_c(p, "integrated_moments")
     cs = rate_coefficients(p)
-    _check_decaying(p, cs)
+    if _moments_diverge(p, cs.lambda_plus):
+        raise DivergentMomentsError(cs.lambda_plus)
     if source == "coarse":
-        det = cs.lambda_plus * cs.lambda_minus
-        i_e = (cs.r_pm + p.kappa) / det
-        i_c = cs.r_pp / det
-    elif source == "ode":
+        m = _coarse_moments(p, cs)
+        return IntegratedMoments(i_e=float(m.i_e), i_c=float(m.i_c), i_p=complex(m.i_p))
+    if source == "ode":
         a = triple_generator_matrix(p)
         y0 = np.array([0.0, 1.0, 0.0, 0.0])
         x = np.linalg.solve(a, -y0)
@@ -198,10 +219,7 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
         x -= np.linalg.solve(a, resid[:, 0])
         return IntegratedMoments(i_e=float(x[1]), i_c=float(x[0]),
                                  i_p=complex(x[2], x[3]))
-    else:
-        raise ValueError(f"unknown moment source {source!r}")
-    i_p = complex(adiabatic_polarization(p, i_e, i_c))
-    return IntegratedMoments(i_e=float(i_e), i_c=float(i_c), i_p=i_p)
+    raise ValueError(f"unknown moment source {source!r}")
 
 
 def _f_coefficients(p: SystemParams, m: IntegratedMoments):
@@ -223,21 +241,39 @@ def _f_coefficients(p: SystemParams, m: IntegratedMoments):
     return {"21": (c21, d21), "c": (cc, dc_), "F": (cf, df)}
 
 
-def _pi_c_total(mat: np.ndarray, p: SystemParams, m: IntegratedMoments) -> complex:
-    """pi * sum_alpha c_alpha = M_22 + 2 gamma_ph M_12 I_p (see :func:`total_spectrum`)."""
-    return mat[1, 1] + 2.0 * p.gamma_ph * mat[0, 1] * m.i_p
+def _pi_c_total(mat, p: SystemParams, i_p):
+    """pi * sum_alpha c_alpha = M_22 + 2 gamma_ph M_12 I_p (see :func:`total_spectrum`).
+
+    i_p has the shape of M_22.  The dephasing term is one scalar product per
+    detuning: as one array product it rounds differently in the last bit.
+    """
+    i_p = np.asarray(i_p)
+    term = [2.0 * p.gamma_ph * mat[0][1] * x for x in i_p.ravel().tolist()]
+    return mat[1][1] + np.reshape(term, i_p.shape)
+
+
+def _total(p: SystemParams, nu_rel, ds: float, i_p):
+    """b, -1/det(b + M) and the total spectrum at the relative frequencies nu_rel.
+
+    One detuning, or a block of them: an omega_c of shape (B, 1), with i_p
+    of that shape, gives one row per detuning, each with the bits of the
+    scalar call.  The only copy of the total's algebra; its input checks
+    on the grid are :func:`_check_grid`'s.
+    """
+    if ds <= 0.0:
+        raise ValueError(f"filter width ds must be positive, got {ds}")
+    b = 1j * (np.asarray(nu_rel, float) + p.omega21) - 0.5 * ds
+    mat = _regression(p)
+    char = (b + mat[0][0]) * (b + mat[1][1]) - mat[0][1] * mat[1][0]  # det(b + M)
+    neg_inv = -1.0 / char  # one division shared by the total and the components
+    return b, neg_inv, ((_pi_c_total(mat, p, i_p) + b) * neg_inv).real / math.pi
 
 
 def _component_values(p: SystemParams, nu_rel, ds: float, m: IntegratedMoments):
     """S_21, S_c, S_F and the total at the given relative frequencies (dict)."""
-    if ds <= 0.0:
-        raise ValueError(f"filter width ds must be positive, got {ds}")
-    b = 1j * (np.asarray(nu_rel, float) + p.omega21) - 0.5 * ds
-    mat = regression_matrix(p)
-    char = (b + mat[0, 0]) * (b + mat[1, 1]) - mat[0, 1] * mat[1, 0]  # det(b + M)
-    neg_inv = -1.0 / char  # one division shared by all four fractions
+    b, neg_inv, total = _total(p, nu_rel, ds, m.i_p)
     out = {name: ((c + d * b) * neg_inv).real for name, (c, d) in _f_coefficients(p, m).items()}
-    out["total"] = ((_pi_c_total(mat, p, m) + b) * neg_inv).real / math.pi
+    out["total"] = total
     return out
 
 
@@ -283,6 +319,20 @@ def _grid_margin(p: SystemParams, ds: float) -> float:
     return 10.0 * max(p.kappa, ds, p.g_abs)
 
 
+def _check_grid(p: SystemParams, nu: np.ndarray, ds: float) -> None:
+    """Raise ValueError unless nu covers both resonances with :func:`_grid_margin`.
+
+    An array omega_c (a block of detunings) is checked at its extremes.
+    """
+    margin = _grid_margin(p, ds)
+    shifts = np.ravel(p.omega_c - p.omega21).tolist()
+    lo, hi = min(0.0, *shifts), max(0.0, *shifts)
+    if nu[0] > lo - margin or nu[-1] < hi + margin:
+        raise ValueError(
+            f"frequency grid [{nu[0]}, {nu[-1]}] must cover both resonances "
+            f"[{lo}, {hi}] with margin >= {margin}")
+
+
 def default_frequency_grid(p: SystemParams, ds: float, n: int = 2001) -> np.ndarray:
     """Grid spanning both resonances plus filter tails and coupling margins.
 
@@ -324,13 +374,7 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
     if nu is None:
         nu = default_frequency_grid(p, ds)
     nu = np.asarray(nu, float)
-    margin = _grid_margin(p, ds)
-    lo = min(0.0, p.omega_c - p.omega21)
-    hi = max(0.0, p.omega_c - p.omega21)
-    if nu[0] > lo - margin or nu[-1] < hi + margin:
-        raise ValueError(
-            f"frequency grid [{nu[0]}, {nu[-1]}] must cover both resonances "
-            f"[{lo}, {hi}] with margin >= {margin}")
+    _check_grid(p, nu, ds)
     m = moments if moments is not None else integrated_moments(p)
     vals = _component_values(p, nu, ds, m)
     return SpectrumComponents(

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
@@ -325,29 +327,40 @@ def test_spectrum_map_triples_and_gap(tmp_path):
 
 def test_spectrum_map_bytes_match_per_value_rebuild(tmp_path):
     # the map body rebuilt from total_spectrum row by row, one format call per
-    # value: guards the row layout (detuning cell, row order, skipped rows).
-    # At g = 0, eta = 1 only detuning 0 is a gap: a map with gaps among kept
-    # rows, one where every detuning is a gap (empty body), one of one row block
-    ds, count, g, kappa = 20.0, 41, 0.0, SystemParams().kappa
-    p = SystemParams(g_abs=g, eta=1.0, gamma_ph=0.0)
-    for start, stop, n, kept_expected in ((-30.0, 30.0, 5, 4), (0.0, 0.0, 2, 0),
-                                          (12.5, 12.5, 1, 1)):
+    # value: guards the row layout (detuning cell, row order, skipped rows) and
+    # the blocked total's bits.  At g = 0, eta = 1 only detuning 0 is a gap: a
+    # map with gaps among kept rows, one where every detuning is a gap (empty
+    # body), one of one row block.  Then maps over several detuning blocks of
+    # B = _BLOCK // count with a final partial block: one with dephasing, an
+    # overlap 0 < eta < 1 and all phases off their defaults, where the
+    # dephasing term of the total rounds differently as one array product,
+    # and (a gap needs gamma_ph = 0 and eta = 1) one with a gap inside a block
+    ds = 20.0
+    bare = {"g_abs": 0.0, "eta": 1.0, "gamma_ph": 0.0}
+    dephased = {"g_abs": 80.0, "phi": 0.7, "gamma": 0.3, "kappa": 10.0, "gamma_ph": 7.5,
+                "eta": 0.6, "theta21": 2.1, "theta_c": 0.4}
+    cases = ((bare, -30.0, 30.0, 5, 41, 4), (bare, 0.0, 0.0, 2, 41, 0),
+             (bare, 12.5, 12.5, 1, 41, 1),
+             (dephased, -1500.0, 1500.0, 9, cli._BLOCK // 4, 9),
+             (dict(bare, theta21=2.1, theta_c=0.4), -30.0, 30.0, 5, cli._BLOCK // 3, 4))
+    for params, start, stop, n, count, kept_expected in cases:
+        p = SystemParams(**params)
         detunings = np.linspace(start, stop, n)
         cfg = write_config(tmp_path, {
-            "params": {"g_abs": g, "eta": 1.0, "gamma_ph": 0.0},
+            "params": params,
             "spectrum": {"ds": ds, "count": count},
             "map": {"detuning_start": start, "detuning_stop": stop, "count": n},
         })
         out = str(tmp_path / "map.csv")
         assert main(["spectrum-map", "--config", cfg, "--out", out]) == EXIT_OK
-        pad = 20.0 * ds + 5.0 * g + 10.0 * max(kappa, ds, g)
+        pad = 20.0 * ds + 5.0 * p.g_abs + 10.0 * max(p.kappa, ds, p.g_abs)
         nu = np.linspace(min(0.0, -detunings.max()) - pad,
                          max(0.0, -detunings.min()) + pad, count)
         body, footer, kept = [], [], 0
         for d in detunings.tolist():
             pd = p.with_detuning(d)
             lam = rate_coefficients(pd).lambda_plus
-            if lam >= -1e-12 * (p.gamma + kappa):
+            if lam >= -1e-12 * (p.gamma + p.kappa):
                 footer.append(f"# gap: detuning_ueV = {d:.17g} "
                               f"(lambda_plus = {lam:.17g}, moments diverge)\n")
                 continue
@@ -357,7 +370,8 @@ def test_spectrum_map_bytes_match_per_value_rebuild(tmp_path):
         assert kept == kept_expected and len(footer) == n - kept
         text = pathlib.Path(out).read_bytes().decode("utf-8")
         _, tail = text.split("detuning_ueV,nu_minus_omega21_ueV,Stotal\n")
-        assert tail == "".join(body + footer)
+        # as lists of lines: a failure names the first differing line at once
+        assert tail.splitlines(keepends=True) == body + footer
 
 
 def test_spectrum_map_keeps_decaying_detuning_near_rate_zero(tmp_path):
@@ -481,6 +495,22 @@ def test_stdout_output(tmp_path, capsys):
     assert "eps,detuning_ueV,W_full,W_weak,W_fano_abs" in out
 
 
+def test_stdout_text_matches_out_file_bytes(tmp_path):
+    # files are written in binary, stdout as text: a caller may swap in a
+    # text stream for sys.stdout, and it must receive the file's bytes
+    cfg = write_config(tmp_path, {
+        "params": {"g_abs": 0.0, "eta": 1.0, "gamma_ph": 0.0},
+        "sweep": {"count": 41}, "spectrum": {"count": 41},
+        "map": {"detuning_start": -30.0, "detuning_stop": 30.0, "count": 5}})
+    for command in ("rate-sweep", "spectrum-map"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            assert main([command, "--config", cfg]) == EXIT_OK
+        assert captured.getvalue().encode("utf-8") == out.read_bytes()
+
+
 def test_seventeen_digit_formatting(tmp_path):
     cfg = write_config(tmp_path, {"sweep": {"start": 1.0 / 3.0, "stop": 1.0 / 3.0,
                                             "count": 1}})
@@ -498,7 +528,7 @@ def test_rows_matches_per_value_format():
             float(2**53 + 1), 1.7976931348623157e308, 100.0, 1e15 + 0.5]
     cols = (np.array(edge), np.array(edge[::-1]), edge[3:] + edge[:3])
     expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*cols))
-    assert cli._rows(*cols) == expected
+    assert cli._rows(*cols) == expected.encode("ascii")
 
     rng = np.random.default_rng(20240917)
     # random bit patterns: all exponents, signs, subnormals, nan and inf payloads
@@ -517,7 +547,7 @@ def test_rows_matches_per_value_format():
     subnormal = rng.integers(1, 2**52, 2000, dtype=np.uint64).view(float)
     decades = rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-8, 20, 4000)
     for values in (bits, ties, near, subnormal, decades, -decades):
-        assert cli._rows(values) == "".join(f"{x:.17g}\n" for x in values.tolist())
+        assert cli._rows(values) == "".join(f"{x:.17g}\n" for x in values.tolist()).encode("ascii")
 
 
 def test_rows_matches_per_value_format_property():
@@ -527,6 +557,6 @@ def test_rows_matches_per_value_format_property():
     @hypothesis.settings(derandomize=True, max_examples=100, database=None, deadline=None)
     @hypothesis.given(st.lists(st.floats(width=64), min_size=1, max_size=8))
     def check(values):
-        assert cli._rows(np.array(values)) == "".join(f"{x:.17g}\n" for x in values)
+        assert cli._rows(np.array(values)) == "".join(f"{x:.17g}\n" for x in values).encode("ascii")
 
     check()
