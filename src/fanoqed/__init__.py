@@ -14,77 +14,15 @@ The package is organized around four layers:
   rule, and a quadrature oracle for the closed forms.
 
 Energies and rates are in ueV with hbar = 1; time is in units of 1/ueV.
+The package exports each layer's ``__all__``.
 """
 
-from .params import (
-    HBAR_UEV_PS,
-    SystemParams,
-    DerivedCouplings,
-    derive_couplings,
-    reduced_detuning,
-    collective_decay_matrix,
-    collective_decay_min_eigenvalue,
-)
-from .rates import (
-    CoarseRateSystem,
-    RateSweepTable,
-    RegimeWarning,
-    rate_coefficients,
-    transition_rate,
-    transition_rate_weak,
-    purcell_rate,
-    fano_formula,
-    rate_sweep,
-)
-from .dynamics import (
-    Trajectory,
-    IntegrationError,
-    PositivityError,
-    TooFewExtremaError,
-    EnvelopeFitError,
-    hamiltonian_matrix,
-    triple_generator_matrix,
-    liouvillian_matrix,
-    evolve_triple,
-    evolve_lindblad,
-    coarse_grained_solution,
-    adiabatic_polarization,
-    envelope_decay_rate,
-)
-from .spectra import (
-    SpectralPoles,
-    IntegratedMoments,
-    SpectrumComponents,
-    DivergentMomentsError,
-    QuadratureConvergenceError,
-    spectral_poles,
-    regression_matrix,
-    integrated_moments,
-    spectrum_component,
-    component_integral,
-    default_frequency_grid,
-    total_spectrum,
-    spectrum_quadrature_oracle,
-)
+from . import dynamics, params, rates, spectra
+from .params import *
+from .rates import *
+from .dynamics import *
+from .spectra import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HBAR_UEV_PS",
-    "SystemParams", "DerivedCouplings", "derive_couplings", "reduced_detuning",
-    "collective_decay_matrix", "collective_decay_min_eigenvalue",
-    "CoarseRateSystem", "RateSweepTable", "RegimeWarning",
-    "rate_coefficients", "transition_rate", "transition_rate_weak",
-    "purcell_rate", "fano_formula", "rate_sweep",
-    "Trajectory", "IntegrationError", "PositivityError",
-    "TooFewExtremaError", "EnvelopeFitError",
-    "hamiltonian_matrix", "triple_generator_matrix", "liouvillian_matrix",
-    "evolve_triple", "evolve_lindblad", "coarse_grained_solution",
-    "adiabatic_polarization", "envelope_decay_rate",
-    "SpectralPoles", "IntegratedMoments", "SpectrumComponents",
-    "DivergentMomentsError", "QuadratureConvergenceError",
-    "spectral_poles", "regression_matrix", "integrated_moments",
-    "spectrum_component", "component_integral", "default_frequency_grid",
-    "total_spectrum", "spectrum_quadrature_oracle",
-    "__version__",
-]
+__all__ = params.__all__ + rates.__all__ + dynamics.__all__ + spectra.__all__ + ["__version__"]

@@ -7,8 +7,9 @@ Subcommands
     spectrum-map  total spectrum over a (detuning, frequency) grid -> CSV
     validate      seeded randomized invariant suite -> report on stdout
 
-All physics parameters come from a single JSON config file (flags only select
-output path and seed); energies are in ueV, angles in radians, times in
+All physics parameters come from a single JSON config file; the flags select
+the output path (--out, default stdout) and the seed (--seed, which wins over
+the config's "seed"); energies are in ueV, angles in radians, times in
 1/ueV.  CSV output is deterministic: 17-significant-digit values, comma
 delimiter, LF line endings, and a comment header carrying the full parameter
 snapshot.
@@ -21,8 +22,9 @@ ties, powers of ten and their neighbours, subnormals and a hypothesis
 property, and the spectrum-map body with a row-by-row rebuild.
 
 Exit codes: 0 success, 1 validation failure, 2 config error (including a
-value the library's own input checks reject and an --out path that cannot be
-opened, which is checked before any work), 3 numeric error.
+config file that is not UTF-8 JSON or nests too deeply, a value the
+library's own input checks reject and an --out path that cannot be opened,
+which is checked before any work), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -73,13 +75,11 @@ class RunConfig:
     """Fully resolved run configuration (defaults filled in)."""
 
     params: SystemParams = field(default_factory=SystemParams)
-    out: str | None = None
     seed: int = 12345
     sweep: dict = field(default_factory=lambda: {
         "start": -300.0, "stop": 300.0, "count": 801})
     dynamics: dict = field(default_factory=lambda: {"t_max": 0.5, "count": 2001})
-    spectrum: dict = field(default_factory=lambda: {
-        "ds": 20.0, "nu_start": None, "nu_stop": None, "count": 2001})
+    spectrum: dict = field(default_factory=lambda: {"ds": 20.0, "count": 2001})
     map: dict = field(default_factory=lambda: {
         "detuning_start": -4000.0, "detuning_stop": 4000.0, "count": 161})
     validate: dict = field(default_factory=lambda: {"draws": 200})
@@ -90,7 +90,7 @@ class RunConfig:
 
 _TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 # each section's keys in the order of its defaults; every key but the counts
-# must be a finite number (a null nu_start/nu_stop: the default grid)
+# must be a finite number
 _SECTION_KEYS = {name: tuple(val) for name, val in vars(RunConfig()).items()
                  if isinstance(val, dict)}
 _FINITE = tuple((section, key) for section, keys in _SECTION_KEYS.items()
@@ -136,9 +136,6 @@ def _from_dict(doc: dict) -> RunConfig:
                 if key not in keys:
                     raise ConfigError(f"unknown {section} key {key!r}")
             getattr(cfg, section).update(sdoc)
-    if doc.get("out") is not None and not isinstance(doc["out"], str):
-        raise ConfigError("'out' must be a string")
-    cfg.out = doc.get("out", cfg.out)
     if "seed" in doc:
         if not _is_number(doc["seed"], int):
             raise ConfigError("'seed' must be int")
@@ -149,8 +146,6 @@ def _from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"{section}.{key} must be an integer >= {lo}, got {count!r}")
     for section, key in _FINITE:
         val = getattr(cfg, section)[key]
-        if val is None and key in ("nu_start", "nu_stop"):
-            continue
         if not _is_finite_number(val):
             raise ConfigError(f"{section}.{key} must be a finite number, got {val!r}")
     if cfg.dynamics["t_max"] <= 0:
@@ -165,7 +160,7 @@ def load_config(path: str | None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return _from_dict(doc)
 
@@ -398,19 +393,19 @@ def _snapshot(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def cmd_rate_sweep(cfg: RunConfig) -> int:
+def cmd_rate_sweep(cfg: RunConfig, out: str | None = None) -> int:
     """Transition-rate profile W(eps) with weak-coupling and reference columns."""
     sw = cfg.sweep
     table = rate_sweep(cfg.params, (float(sw["start"]), float(sw["stop"])),
                        int(sw["count"]))
     body = _rows(table.eps, table.eps * cfg.params.kappa / 2.0,
                  table.w_full, table.w_weak, table.w_fano)
-    _write_csv(cfg.out, _snapshot(cfg) + ["detuning_ueV = omega21 - omega_c"],
+    _write_csv(out, _snapshot(cfg) + ["detuning_ueV = omega21 - omega_c"],
                ["eps", "detuning_ueV", "W_full", "W_weak", "W_fano_abs"], [body])
     return EXIT_OK
 
 
-def cmd_dynamics(cfg: RunConfig) -> int:
+def cmd_dynamics(cfg: RunConfig, out: str | None = None) -> int:
     """Population evolution: full equations of motion vs coarse-grained forms."""
     dy = cfg.dynamics
     t = np.linspace(0.0, float(dy["t_max"]), int(dy["count"]))
@@ -421,31 +416,25 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     # math.exp per value: np.exp need not round the last bit the same way
     decay = [math.exp(-w * x) for x in t.tolist()]
     body = _rows(t, traj.n_e, traj.n_c, n_e_c, n_c_c, decay)
-    _write_csv(cfg.out, _snapshot(cfg) + [f"W = {_fmt(w)}"],
+    _write_csv(out, _snapshot(cfg) + [f"W = {_fmt(w)}"],
                ["t", "n_e_ode", "n_c_ode", "n_e_coarse", "n_c_coarse", "exp_minus_Wt"],
                [body])
     return EXIT_OK
 
 
-def _spectrum_grid(cfg: RunConfig) -> np.ndarray:
-    sp = cfg.spectrum
-    if sp["nu_start"] is None or sp["nu_stop"] is None:
-        return default_frequency_grid(cfg.params, float(sp["ds"]), int(sp["count"]))
-    return np.linspace(float(sp["nu_start"]), float(sp["nu_stop"]), int(sp["count"]))
-
-
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, out: str | None = None) -> int:
     """Spectrum components on a frequency grid, with the sum rule as footer."""
     ds = float(cfg.spectrum["ds"])
-    comp = total_spectrum(cfg.params, _spectrum_grid(cfg), ds)
+    nu = default_frequency_grid(cfg.params, ds, int(cfg.spectrum["count"]))
+    comp = total_spectrum(cfg.params, nu, ds)
     body = _rows(comp.nu, comp.s21, comp.s_c, comp.s_f, comp.s_total)
-    _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}"],
+    _write_csv(out, _snapshot(cfg) + [f"ds = {_fmt(ds)}"],
                ["nu_minus_omega21_ueV", "S21", "Sc", "SF", "Stotal"], [body],
                footer=[f"sum_rule = {_fmt(comp.sum_rule)}"])
     return EXIT_OK
 
 
-def cmd_spectrum_map(cfg: RunConfig) -> int:
+def cmd_spectrum_map(cfg: RunConfig, out: str | None = None) -> int:
     """Total spectrum over a (detuning, frequency) grid as long-format triples.
 
     Detunings are omega21 - omega_c.  One broadcast rate call over all of
@@ -491,8 +480,8 @@ def cmd_spectrum_map(cfg: RunConfig) -> int:
         used = rows[:len(s_total)]
         used[:, :, :lead] = _padded(heads[i:i + step], lead)[:, None]
         blocks.append(_text(s_total.reshape(-1, 1), used.reshape(-1, used.shape[2])))
-    _write_csv(cfg.out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
-                                          "detuning_ueV = omega21 - omega_c"],
+    _write_csv(out, _snapshot(cfg) + [f"ds = {_fmt(ds)}",
+                                      "detuning_ueV = omega21 - omega_c"],
                ["detuning_ueV", "nu_minus_omega21_ueV", "Stotal"], blocks,
                footer=gaps)
     return EXIT_OK
@@ -606,8 +595,11 @@ def _validate_checks(cfg: RunConfig):
            "equations of motion vs master equation, n_e")
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    """Run the randomized invariant suite; nonzero exit on any failure."""
+def cmd_validate(cfg: RunConfig, out: str | None = None) -> int:
+    """Run the randomized invariant suite; nonzero exit on any failure.
+
+    The report goes to stdout; out is taken for a common signature and unused.
+    """
     failures = 0
     for name, worst, tol, detail in _validate_checks(cfg):
         ok = worst <= tol
@@ -640,26 +632,24 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.out is not None:
-            cfg.out = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if cfg.out is not None and args.command != "validate":
+        if args.out is not None and args.command != "validate":
             # fail on an unwritable path before the work, not after it
-            open(cfg.out, "a", encoding="utf-8").close()
+            open(args.out, "a", encoding="utf-8").close()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg, args.out)
     except (DivergentMomentsError, QuadratureConvergenceError, IntegrationError,
             PositivityError, FloatingPointError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # a value the library's own input checks reject (filter width, grid
-        # margins) is a config error, reported without a traceback
+        # a value the library's own input checks reject (a filter width
+        # ds <= 0) is a config error, reported without a traceback
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

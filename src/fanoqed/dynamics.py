@@ -56,9 +56,6 @@ __all__ = [
     "PositivityError",
     "TooFewExtremaError",
     "EnvelopeFitError",
-    "SIGMA_MINUS",
-    "A_OP",
-    "SIGMA_Z",
     "hamiltonian_matrix",
     "triple_generator_matrix",
     "liouvillian_matrix",

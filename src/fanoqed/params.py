@@ -92,11 +92,6 @@ class SystemParams:
         """Complex coupling constant g = |g| exp(i*phi)."""
         return self.g_abs * cmath.exp(1j * self.phi)
 
-    @property
-    def detuning(self) -> float:
-        """omega_c - omega21."""
-        return self.omega_c - self.omega21
-
     def with_reduced_detuning(self, eps) -> "SystemParams":
         """Copy with omega_c placed so that 2*(omega21 - omega_c)/kappa = eps."""
         return replace(self, omega_c=self.omega21 - eps * self.kappa / 2.0)

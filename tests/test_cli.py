@@ -72,11 +72,37 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
 def test_export_lists_name_existing_objects():
     # a name left in __all__ after its object is gone breaks `import *`
     import fanoqed
+    layers = (fanoqed.params, fanoqed.rates, fanoqed.dynamics, fanoqed.spectra)
+    assert fanoqed.__all__ == [name for module in layers for name in module.__all__] + [
+        "__version__"]
+    assert len(set(fanoqed.__all__)) == len(fanoqed.__all__)
     namespace = {}
     exec("from fanoqed import *", namespace)
     assert set(fanoqed.__all__) <= set(namespace)
-    for module in (fanoqed.params, fanoqed.rates, fanoqed.dynamics, fanoqed.spectra, cli):
+    for module in layers + (cli,):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # perfbench/workloads.py writes the cli-pipeline configs; a config key the
+    # CLI drops would otherwise fail only the benchmark run
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    tasks = (workloads.cli_warmup_tasks(None, str(tmp_path))
+             + workloads.cli_tasks(None, np.random.default_rng(1), 3.0, None, str(tmp_path)))
+    paths = sorted({task.config_path for task in tasks})
+    assert len(paths) == 3
+    for path in paths:
+        cfg = load_config(path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert cfg.seed == doc["seed"]
+        assert dataclasses.asdict(cfg.params) == {
+            **dataclasses.asdict(SystemParams()), **doc["params"]}
 
 
 def test_traced_layer_functions_exist():
@@ -114,9 +140,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     for value in ([0.0, 1.0], True, "5", 10 ** 400):
         with pytest.raises(ConfigError, match="must be a finite number"):
             _from_dict({"params": {"omega_c": value}})
-    for removed in ("fixed_step", "fixed_step_dt", "workers", "command"):
+    for removed in ("fixed_step", "fixed_step_dt", "workers", "command", "out"):
         with pytest.raises(ConfigError, match="unknown config key"):
             _from_dict({removed: 1})
+    for removed in ("nu_start", "nu_stop"):
+        with pytest.raises(ConfigError, match="unknown spectrum key"):
+            _from_dict({"spectrum": {removed: -10.0}})
     with pytest.raises(ConfigError, match="unknown validate key"):
         _from_dict({"validate": {"inject_eta": 1.5}})
     for variable in ("eps", "kappa"):
@@ -145,20 +174,33 @@ def test_config_error_exit_code(tmp_path):
     ("spectrum", {"spectrum": {"count": 0}}),
     ("spectrum-map", {"map": {"count": 0}}),
     ("spectrum", {"spectrum": {"ds": 0.0}}),
-    ("spectrum", {"spectrum": {"nu_start": -10.0, "nu_stop": 10.0}}),
+    ("spectrum", {"spectrum": {"ds": -5.0}}),
     ("validate", {"validate": {"draws": 0}}),
     ("validate", {"validate": {"draws": -3}}),
     ("rate-sweep", {"sweep": {"start": None}}),
     ("rate-sweep", {"sweep": {"start": True, "stop": "5"}}),
     ("rate-sweep", {"sweep": {"stop": 10 ** 400}}),
     ("spectrum", {"spectrum": {"ds": [20]}}),
-    ("spectrum", {"spectrum": {"nu_start": "-5000", "nu_stop": 5000.0}}),
-    ("spectrum", {"spectrum": {"nu_start": -5000.0, "nu_stop": float("inf")}}),
+    ("spectrum", {"spectrum": {"ds": "20"}}),
+    ("spectrum", {"spectrum": {"ds": float("inf")}}),
     ("spectrum-map", {"map": {"detuning_stop": False}}),
 ])
 def test_bad_section_values_are_config_errors(tmp_path, capsys, command, doc):
     path = write_config(tmp_path, doc)
     assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(str(path))
+    assert main(["rate-sweep", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
