@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: `import fanoqed` stays
-# cheap for the commands that never propagate
+# numpy is the library's one dependency: the slow-mode split and the
+# exponentials are numpy code, so no command pays for a scipy import
 from .params import (SystemParams, _require_scalar_omega_c, collective_decay_matrix,
                      derive_couplings)
 from .rates import rate_coefficients
@@ -233,27 +233,51 @@ def _slow_modes(a: np.ndarray):
     """Invariant subspace of the eigenvalues below SLOW_MODE_RATIO*||A||_1.
 
     Returns (basis, proj, gen): the right basis Q1 (n x k), the matching rows
-    W1 of the spectral projector Q1 @ W1 (k x n), and the k x k generator of
-    the mode amplitudes, so that A Q1 = Q1 gen.  Q1 comes from an ordered
-    real Schur form A Z = Z T, W1 from the Sylvester equation that decouples
-    T11 from T22.  gen is one two-sided block Rayleigh-quotient step from T11,
-    T11 + W1 (A Q1 - Q1 T11), with the residual computed by Dot2: T11 itself
-    carries the eps*||A|| error that the split is there to remove.  k = 0
-    gives empty arrays, without the Schur form when every |eigvals(A)| clears
-    twice the cut: their error of about eps*||A|| is far below that margin.
+    W1 of the spectral projector P = Q1 @ W1 (k x n), and the k x k generator
+    of the mode amplitudes, so that A Q1 = Q1 gen.  P is the polynomial
+    Re prod_fast (I - A/l_j) over the eigenvalues at or above the cut: it
+    annihilates the fast modes and maps a slow mode l to 1 - O(|l|/|l_j|),
+    within about 1e-6 of 1, which three steps of P <- 3P^2 - 2P^3 push to
+    rounding.  Q1 is the leading k left singular vectors of P, and as P Q1 =
+    Q1, W1 = Q1^T P.  For two real slow eigenvalues one rotation makes
+    T11 = W1 A Q1 upper triangular, the larger modulus first, as in a real
+    Schur form; without it the amplitudes' exponentials mix both modes, and
+    at |detuning| >= 1e8 n_e drifts 6e-15 to 2.5e-14 from its 40-digit value
+    instead of 3e-16.  gen is one two-sided block Rayleigh-quotient step
+    from T11, T11 + W1 (A Q1 - Q1 T11), with the residual computed by Dot2:
+    T11 itself carries the eps*||A|| error that the split is there to remove.
+    k = 0 gives empty arrays, at once when every |eigvals(A)| clears twice
+    the cut: their error of about eps*||A|| is far below that margin.
     """
-    from scipy.linalg import schur, solve_sylvester
-
     n = len(a)
     cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
     if np.abs(np.linalg.eigvals(a)).min() >= 2.0 * cut:
         return np.empty((n, 0)), np.empty((0, n)), np.empty((0, 0))
-    t, z, k = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)
-    basis, t11 = z[:, :k], t[:k, :k]
-    proj = basis.T
-    if 0 < k < n:
-        x = solve_sylvester(t11, -t[k:, k:], -t[:k, k:])
-        proj = proj - x @ z[:, k:].T
+    # only generators with a slow mode get here, so the screen's eigenvalues
+    # are computed again rather than kept
+    lam = np.linalg.eigvals(a)
+    slow = np.abs(lam) < cut
+    k = int(slow.sum())
+    proj = np.eye(n, dtype=complex)
+    for lj in lam[~slow]:
+        proj = proj - (a @ proj) / lj
+    proj = proj.real
+    for _ in range(3):
+        p2 = proj @ proj
+        proj = 3.0 * p2 - 2.0 * p2 @ proj
+    basis = np.linalg.svd(proj)[0][:, :k]
+    proj = basis.T @ proj
+    t11 = proj @ a @ basis
+    if k == 2:
+        half_tr = 0.5 * (t11[0, 0] + t11[1, 1])
+        disc = 0.25 * (t11[0, 0] - t11[1, 1]) ** 2 + t11[0, 1] * t11[1, 0]
+        if disc >= 0.0:
+            # rotate onto the eigenvector of the larger-modulus eigenvalue
+            big = half_tr + math.copysign(math.sqrt(disc), half_tr)
+            v = np.array([[t11[0, 1], big - t11[0, 0]], [big - t11[1, 1], t11[1, 0]]])
+            v = v[np.argmax(np.hypot(v[:, 0], v[:, 1]))]
+            rot = np.array([[v[0], -v[1]], [v[1], v[0]]]) / math.hypot(v[0], v[1])
+            basis, proj, t11 = basis @ rot, rot.T @ proj, rot.T @ t11 @ rot
     resid = _matmul_dot2(np.hstack([a, basis]), np.vstack([basis, -t11]))
     return basis, proj, t11 + proj @ resid
 
@@ -271,10 +295,12 @@ _PADE = (5.371920351148152, (64764752532480000., 32382376266240000.,
 def _expm_stack(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """expm(a * s) for every s in steps, as a (len(steps), n, n) stack.
 
-    Scaling and squaring (Higham 2005) in batched numpy: every a s is scaled
-    by 2**-k, k = ceil(log2(max(||a s||_1 / theta_13, 1))), into the degree-13
-    Pade approximant, evaluated for all steps at once, and the result is then
-    squared k times, on the entries that still need it only.  The approximant
+    a is real (the dynamics generators) or complex (the quadrature oracle's
+    2x2 regression matrix).  Scaling and squaring (Higham 2005) in batched
+    numpy: every a s is scaled by 2**-k, k = ceil(log2(max(||a s||_1 /
+    theta_13, 1))), into the degree-13 Pade approximant, evaluated for all
+    steps at once, and the result is then squared k times, on the entries
+    that still need it only.  The approximant
     is formed as I + c with c = (V - U)^-1 (V + U) - I = 2 (V - U)^-1 U: the
     solve carries only the difference from the identity, which rounding
     V + U would blur.  It is squared as I + (2c + c @ c), so a mode with

@@ -33,7 +33,8 @@ import numpy as np
 from .params import (SystemParams, _require_scalar_omega_c, collective_decay_matrix,
                      derive_couplings)
 from .rates import CoarseRateSystem, rate_coefficients
-from .dynamics import adiabatic_polarization, triple_generator_matrix, _matmul_dot2
+from .dynamics import (adiabatic_polarization, triple_generator_matrix, _expm_stack,
+                       _matmul_dot2)
 
 __all__ = [
     "SpectralPoles",
@@ -395,8 +396,6 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
                   m: IntegratedMoments, phase_per_panel: float) -> np.ndarray:
     """Total spectrum from regression factors and panel quadrature in tau: per
     frequency, n_r + #kk + 10 exponentials and about 4 (n_r + #kk) multiply-adds."""
-    from scipy.linalg import expm
-
     dc = derive_couplings(p)
     mat = regression_matrix(p)
     # slowest decay of C(tau) from an independent eigensolver, not the closed form
@@ -412,7 +411,9 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     n_r = math.isqrt(n_pan - 1) + 1
     n_kk = -(-n_pan // n_r)
     damped = mat - 0.5 * ds * np.eye(2)
-    b_r = _matrix_powers(expm(damped * h), n_r + 1)
+    # the per-panel exponential and the ten node exponentials in one batch
+    exps = _expm_stack(damped, np.append(h, off))
+    b_r = _matrix_powers(exps[0], n_r + 1)
     a_kk = _matrix_powers(b_r[n_r], n_kk)
     # correlator kernels: C(tau) times the integrated moments (the trajectory-time
     # integral, reduced exactly by t - tau -> s); V = G N^T/pi weights them by the
@@ -428,7 +429,7 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     # with P_A = sum_kk e^{i nu kk n_r h} A_kk, P_B = sum_r e^{i nu r h} B_r and
     # Q = sum_j e^{i nu o_j} q_j.  The last kk block has only rem panels, so P_A over
     # all kk meets the head r < rem of P_B, and P_A without that block meets its tail
-    q = np.stack([w * v @ expm(damped * o).T for o, w in zip(off, 0.5 * h * w_gl)])
+    q = np.stack([w * v @ e.T for e, w in zip(exps[1:], 0.5 * h * w_gl)])
     q, b, a = (np.ascontiguousarray(x.reshape(len(x), 4).T) for x in (q, b_r[:n_r], a_kk))
     rem = n_pan - (n_kk - 1) * n_r
     out = []

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import importlib.util
@@ -8,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -49,24 +51,64 @@ def fresh_python(args, **kwargs):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
-    # scipy.linalg loads only inside the functions that propagate or run the
-    # oracle, which keeps every fanoqed start short, and the library never
-    # loads scipy.integrate.  `dynamics` and `validate` on the defaults do
-    # load scipy.linalg today, as _slow_modes imports it before its eigenvalue
-    # screen.  A lazier import would land in the first timed round of
-    # perfbench's dynamics-windows, whose warm-up reaches no slow mode
-    # (CHANGES.md, FOUND 31).  The last assert flips once that import moves.
-    code = ("import sys, fanoqed.cli; "
-            "loaded = lambda: [m for m in ('scipy.integrate', 'scipy.linalg') "
-            "if m in sys.modules]; "
-            "print(loaded(), file=sys.stderr); "
-            "codes = [fanoqed.cli.main(['dynamics', '--out', "
-            f"{str(tmp_path / 'dyn.csv')!r}]), fanoqed.cli.main(['validate'])]; "
-            "print(codes, loaded(), file=sys.stderr)")
+    # the library imports numpy only: no scipy module loads on import, in the
+    # CLI's dynamics and validate runs, in the spectrum oracle or in a
+    # slow-mode split.  Nor does a slow-mode split load any module that a run
+    # without one has not: perfbench's dynamics-windows warms up on a set
+    # without a slow mode, so a lazy set-up there would land in its first
+    # timed round (CHANGES.md, FOUND 31)
+    code = textwrap.dedent(f"""
+        import sys
+        import fanoqed.cli
+        from fanoqed import (SystemParams, evolve_lindblad, evolve_triple,
+                             spectrum_quadrature_oracle, transition_rate)
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        def window(p):
+            return [0.0, 1.0 / transition_rate(p), 10.0 / transition_rate(p)]
+
+        anti = SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(-126.4)
+        far = SystemParams(eta=0.0).with_detuning(1e9)
+        c8 = SystemParams(eta=1.0, gamma_ph=30.0).with_detuning(3160.0)
+        out = {str(tmp_path / "dyn.csv")!r}
+        steps = [("import", lambda: None),
+                 ("dynamics", lambda: fanoqed.cli.main(["dynamics", "--out", out])),
+                 ("validate", lambda: fanoqed.cli.main(["validate"])),
+                 ("no slow mode", lambda: evolve_triple(c8, window(c8)).metadata["slow_modes"]),
+                 ("oracle", lambda: spectrum_quadrature_oracle(c8, [-1050.0, 4210.0], 20.0).shape)]
+        for name, step in steps:
+            print(name, step(), scipy_loaded(), file=sys.stderr)
+        before = set(sys.modules)
+        slow = [evolve(p, window(p)).metadata["slow_modes"]
+                for p in (anti, far) for evolve in (evolve_triple, evolve_lindblad)]
+        print("slow modes", slow, scipy_loaded(), sorted(set(sys.modules) - before),
+              file=sys.stderr)
+    """)
     err = fresh_python(["-c", code], capture_output=True, text=True).stderr
-    on_import, after_runs = err.splitlines()
-    assert on_import == "[]"
-    assert after_runs == "[0, 0] ['scipy.linalg']"
+    assert err.splitlines() == [
+        "import None []", "dynamics 0 []", "validate 0 []", "no slow mode 0 []",
+        "oracle (2,) []", "slow modes [1, 1, 2, 2] [] []"]
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    # every import statement in src/fanoqed, at module level or inside a
+    # function, names the standard library, numpy or the package itself
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "fanoqed"
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fanoqed"}
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_export_lists_name_existing_objects():

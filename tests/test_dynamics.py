@@ -12,7 +12,7 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients, transiti
                      liouvillian_matrix, hamiltonian_matrix,
                      triple_generator_matrix, TooFewExtremaError,
                      EnvelopeFitError)
-from fanoqed import dynamics
+from fanoqed import dynamics, spectra
 from fanoqed.dynamics import (SIGMA_MINUS, A_OP, SIGMA_Z, SLOW_MODE_RATIO,
                               _expm_stack, _hop, _lowest_eigenvalues, _matmul_dot2,
                               _slow_modes)
@@ -175,38 +175,120 @@ def test_step_halving_check_rejects_a_nan_defect():
                                      np.array([0.0, 1000.0]))
 
 
+def _handed_generators(sets, monkeypatch):
+    """Every generator that evolve_triple, then evolve_lindblad, hands to _slow_modes."""
+    seen = []
+    monkeypatch.setattr(dynamics, "_slow_modes", lambda a: seen.append(a) or _slow_modes(a))
+    for p in sets:
+        t = np.linspace(0.0, 10.0 / transition_rate(p), 11)
+        evolve_triple(p, t_grid=t)
+        evolve_lindblad(p, t_grid=t)
+    return seen
+
+
+def _schur_split(a):
+    """_slow_modes from scipy's ordered real Schur form A Z = Z T instead.
+
+    Q1 is the leading columns of Z, W1 = Q1^T - X Z2^T with X from the
+    Sylvester equation that decouples T11 from T22, and the generator is the
+    same Dot2 Rayleigh step from T11.
+    """
+    from scipy.linalg import schur, solve_sylvester
+    cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
+    t, z, k = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)
+    basis, t11 = z[:, :k], t[:k, :k]
+    proj = basis.T
+    if 0 < k < len(a):
+        proj = proj - solve_sylvester(t11, -t[k:, k:], -t[:k, k:]) @ z[:, k:].T
+    resid = _matmul_dot2(np.hstack([a, basis]), np.vstack([basis, -t11]))
+    return basis, proj, t11 + proj @ resid
+
+
+def _assert_split_matches_schur(a):
+    """Same k, spectral projector and generator eigenvalues as _schur_split; returns k."""
+    basis, proj, gen = _slow_modes(a)
+    ref_basis, ref_proj, ref_gen = _schur_split(a)
+    assert len(gen) == len(ref_gen)
+    if len(gen):
+        ref = ref_basis @ ref_proj
+        assert np.abs(basis @ proj - ref).max() <= 1e-14 * np.abs(ref).max()
+        lam, ref_lam = (np.sort_complex(np.linalg.eigvals(g)) for g in (gen, ref_gen))
+        assert np.abs(lam - ref_lam).max() <= 1e-14 * np.abs(ref_lam).max()
+    return len(gen)
+
+
 def test_slow_mode_screen_keeps_every_slow_mode(rng, monkeypatch):
     # every generator that either route hands to _slow_modes, on the 12
     # criterion-5 sets and on seeded draws: the eigvals screen must give the
-    # count of the full ordered Schur form, so it never drops a slow mode.
+    # count of the full ordered Schur form, so it never drops a slow mode,
+    # and the split must match that form's projector and eigenvalues.
     # The draws at eta = 1, gamma_ph = 0 and eps in [-260, -90] put
     # min|l|/||A||_1 at 5e-7 to 3e-6, across the cut and the screen's margin
     # of twice the cut
-    from scipy.linalg import schur
-    import fanoqed.dynamics as dyn
-    seen = []
-    monkeypatch.setattr(dyn, "_slow_modes", lambda a: seen.append(a) or _slow_modes(a))
     c5 = [SystemParams(eta=eta, gamma_ph=gph).with_reduced_detuning(eps)
           for eta in (0.0, 1.0) for gph in (0.0, 30.0) for eps in (0.0, 126.4, -126.4)]
     draws = [random_valid_params(rng) for _ in range(12)]
     edge = [SystemParams(eta=1.0, gamma_ph=0.0).with_reduced_detuning(rng.uniform(-260, -90))
             for _ in range(12)]
-    for p in c5 + draws + edge:
-        t = np.linspace(0.0, 10.0 / transition_rate(p), 11)
-        evolve_triple(p, t_grid=t)
-        evolve_lindblad(p, t_grid=t)
-    counts = []
-    for a in seen:
-        cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
-        full = schur(a, output="real", sort=lambda re, im: math.hypot(re, im) < cut)[2]
-        counts.append(len(_slow_modes(a)[2]))
-        assert counts[-1] == full
+    gens = _handed_generators(c5 + draws + edge, monkeypatch)
+    counts = [_assert_split_matches_schur(a) for a in gens]
     # per set: triple, then the master equation's one-excitation block
     counts = np.array(counts).reshape(-1, 2)
     expected = np.zeros((len(c5), 2), int)
     expected[8] = 1     # eta = 1, gamma_ph = 0, eps = -126.4: the antiresonance
     assert np.array_equal(counts[:len(c5)], expected)
     assert 0 < counts[-len(edge):, 0].sum() < len(edge)
+
+
+def test_two_slow_modes_split_matches_ordered_schur(monkeypatch):
+    # at |detuning| >= 1e9 the populations split off as two real slow modes,
+    # which take the rotation.  The bounds of _assert_split_matches_schur are
+    # relative to the largest entry and eigenvalue: on the smaller slow
+    # eigenvalue of the master-equation block, the Schur route itself is up
+    # to 1.1e-13 off the 40-digit value, and the numpy split within 1e-42
+    far = [SystemParams(eta=eta, gamma_ph=gph).with_detuning(detuning)
+           for eta in (0.0, 0.7, 1.0) for gph in (0.0, 30.0) for detuning in (1e9, -3e9)]
+    gens = _handed_generators(far, monkeypatch)
+    assert [_assert_split_matches_schur(a) for a in gens] == [2] * len(gens)
+
+
+def test_slow_complex_pair_split_matches_ordered_schur():
+    # no physical set has a slow complex pair: the slow modes are
+    # population-like, as Gamma and the detuning sit in the polarization block
+    # and set ||A||.  A real generator V B V^-1 built with one, the slow pair
+    # 1e-8 (-1 +- 3i) beside the fast pair -2 +- 5i, takes the k = 2 path
+    # without the rotation
+    v = np.array([[1.0, 0.3, -0.5, 0.2], [-0.4, 1.2, 0.1, 0.6],
+                  [0.2, -0.7, 0.9, -0.3], [0.5, 0.1, 0.4, 1.1]])
+    b = np.zeros((4, 4))
+    b[:2, :2] = [[-1e-8, 3e-8], [-3e-8, -1e-8]]
+    b[2:, 2:] = [[-2.0, 5.0], [-5.0, -2.0]]
+    a = v @ b @ np.linalg.inv(v)
+    assert _assert_split_matches_schur(a) == 2
+    lam = np.sort_complex(np.linalg.eigvals(_slow_modes(a)[2]))
+    # forming V B V^-1 in float64 moves each eigenvalue by up to ~cond(V) eps ||A||
+    bound = np.linalg.cond(v) * np.finfo(float).eps * np.linalg.norm(a, 1)
+    assert np.abs(lam - 1e-8 * np.array([-1 - 3j, -1 + 3j])).max() <= bound
+
+
+def test_two_slow_modes_match_exact_propagation():
+    # at eta = 0 and |detuning| >= 1e8 the populations split off as two real
+    # slow modes.  On every 10th of 201 uniform samples over 10/W the numpy
+    # split stays within 2.8e-16 of the exact propagation, as the Schur route
+    # does; without the rotation that makes T11 triangular the same samples
+    # are 6.0e-15 to 2.5e-14 off
+    for gamma_ph in (0.0, 30.0):
+        for detuning in (1e8, 1e9, -3e9):
+            p = SystemParams(eta=0.0, gamma_ph=gamma_ph).with_detuning(detuning)
+            t = np.linspace(0.0, 10.0 / transition_rate(p), 201)
+            sampled = np.arange(0, len(t), 10)
+            traj = evolve_triple(p, t_grid=t)
+            assert traj.metadata["slow_modes"] == 2
+            exact = _exact_propagation(triple_generator_matrix(p),
+                                       np.array([0.0, 1.0, 0.0, 0.0]), t[sampled])
+            dn_e = np.abs(traj.n_e[sampled] - exact[:, 1].real).max()
+            dn_c = np.abs(traj.n_c[sampled] - exact[:, 0].real).max()
+            assert dn_e <= 5e-15 and dn_c <= 5e-15, (gamma_ph, detuning, dn_e, dn_c)
 
 
 def _block_order_blocks(liou):
@@ -322,7 +404,7 @@ def _mp_expm(a, s):
         return np.array([[float(e[i, j]) for j in range(e.cols)] for i in range(e.rows)])
 
 
-def test_expm_stack_matches_40_digit_and_scipy_expm():
+def test_expm_stack_matches_40_digit_and_scipy_expm(monkeypatch):
     # every Pade degree, and up to 34 squarings on the antiresonance, whose
     # slow mode keeps expm(A s) of order 1 out to s ~ 1e9; a backward-stable
     # exponential is good to a few u*||A s||_1 there
@@ -336,6 +418,28 @@ def test_expm_stack_matches_40_digit_and_scipy_expm():
         assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 4.0 * scale)
         alt = expm(a * steps[:, None, None])
         assert np.all(np.abs(got - alt).max(axis=(1, 2)) <= 8.0 * scale)
+    # the quadrature oracle's complex 2x2 exponentials of
+    # regression_matrix(p) - ds/2, at the panel width h and the ten node
+    # offsets it asks for: the defaults, the criterion-8 sets, a bare emitter
+    calls = []
+    monkeypatch.setattr(spectra, "_expm_stack",
+                        lambda a, steps: calls.append((a, steps)) or _expm_stack(a, steps))
+    sets = ([SystemParams()]
+            + [SystemParams(eta=1.0, gamma_ph=gph).with_detuning(detuning)
+               for detuning in (-3160.0, 0.0, 3160.0) for gph in (0.0, 30.0)]
+            + [SystemParams(g_abs=0.0, eta=0.0)])
+    for p in sets:
+        lo = min(0.0, p.omega_c - p.omega21) - 1050.0
+        hi = max(0.0, p.omega_c - p.omega21) + 1050.0
+        spectra.spectrum_quadrature_oracle(p, np.linspace(lo, hi, 5), 20.0)
+        for a, steps in calls[-2:]:    # the coarse and the fine pass
+            assert np.array_equal(a, spectra.regression_matrix(p) - 10.0 * np.eye(2))
+            assert a.dtype == complex and len(steps) == 11
+            got = _expm_stack(a, steps)
+            ref = expm(a * steps[:, None, None])
+            assert np.all(np.abs(got - ref).max(axis=(1, 2))
+                          <= 1e-14 * np.abs(ref).max(axis=(1, 2)))
+    assert len(calls) == 2 * len(sets)
 
 
 def test_expm_stack_is_accurate_near_the_identity():
