@@ -234,20 +234,27 @@ def _slow_modes(a: np.ndarray):
 
     Returns (basis, proj, gen): the right basis Q1 (n x k), the matching rows
     W1 of the spectral projector P = Q1 @ W1 (k x n), and the k x k generator
-    of the mode amplitudes, so that A Q1 = Q1 gen.  P is the polynomial
-    Re prod_fast (I - A/l_j) over the eigenvalues at or above the cut: it
-    annihilates the fast modes and maps a slow mode l to 1 - O(|l|/|l_j|),
-    within about 1e-6 of 1, which three steps of P <- 3P^2 - 2P^3 push to
-    rounding.  Q1 is the leading k left singular vectors of P, and as P Q1 =
-    Q1, W1 = Q1^T P.  For two real slow eigenvalues one rotation makes
+    of the mode amplitudes, so that A Q1 = Q1 gen.  P is the real part of
+    the polynomial r(A) = q(A) p(A): p(A) = prod_fast (I - A/l_j) over the
+    eigenvalues at or above the cut annihilates the fast modes, and q, of
+    degree k - 1 in Newton form, takes the value 1/p(l) at each slow
+    eigenvalue l.  So r is 1 on every slow mode however near the cut the
+    fast eigenvalues lie (p(l) alone is 1 - l/l_j there, 0.6 for a slow
+    rate 2 beside a fast rate 5), and three steps of P <- 3P^2 - 2P^3 push
+    the rounding left on the fast modes towards 0.  Q1 is the leading k
+    left singular vectors of P, and W1 solves (Q1^T P Q1) W1 = Q1^T P: for
+    any P = f(A) with f zero on the fast modes and nonzero on the slow ones
+    those are the rows of the spectral projector, and W1 Q1 = I holds to
+    rounding.  For two real slow eigenvalues one rotation makes
     T11 = W1 A Q1 upper triangular, the larger modulus first, as in a real
     Schur form; without it the amplitudes' exponentials mix both modes, and
-    at |detuning| >= 1e8 n_e drifts 6e-15 to 2.5e-14 from its 40-digit value
-    instead of 3e-16.  gen is one two-sided block Rayleigh-quotient step
-    from T11, T11 + W1 (A Q1 - Q1 T11), with the residual computed by Dot2:
-    T11 itself carries the eps*||A|| error that the split is there to remove.
-    k = 0 gives empty arrays, at once when every |eigvals(A)| clears twice
-    the cut: their error of about eps*||A|| is far below that margin.
+    at |detuning| >= 1e8 n_e drifts 6e-15 to 2.5e-14 from its 40-digit
+    value instead of 3e-16.  gen is one two-sided block Rayleigh-quotient
+    step from T11, T11 + W1 (A Q1 - Q1 T11), with the residual computed by
+    Dot2: T11 itself carries the eps*||A|| error that the split is there to
+    remove.  k = 0 gives empty arrays: at once when every |eigvals(A)|
+    clears twice the cut, as their error of about eps*||A|| is far below
+    that margin, and before any projector work when none lies below the cut.
     """
     n = len(a)
     cut = SLOW_MODE_RATIO * np.linalg.norm(a, 1)
@@ -258,15 +265,25 @@ def _slow_modes(a: np.ndarray):
     lam = np.linalg.eigvals(a)
     slow = np.abs(lam) < cut
     k = int(slow.sum())
+    if k == 0:
+        return np.empty((n, 0)), np.empty((0, n)), np.empty((0, 0))
+    ls, fast = lam[slow], lam[~slow]
     proj = np.eye(n, dtype=complex)
-    for lj in lam[~slow]:
+    for lj in fast:
         proj = proj - (a @ proj) / lj
-    proj = proj.real
+    # 1/p(l) at the slow eigenvalues, made q's Newton coefficients by divided differences
+    coef = 1.0 / np.prod(1.0 - ls[:, None] / fast, axis=1)
+    for j in range(1, k):
+        coef[j:] = (coef[j:] - coef[j - 1:-1]) / (ls[j:] - ls[:-j])
+    r = coef[-1] * proj
+    for j in reversed(range(k - 1)):    # Horner: r = q(A) p(A)
+        r = a @ r - ls[j] * r + coef[j] * proj
+    proj = r.real
     for _ in range(3):
         p2 = proj @ proj
         proj = 3.0 * p2 - 2.0 * p2 @ proj
     basis = np.linalg.svd(proj)[0][:, :k]
-    proj = basis.T @ proj
+    proj = np.linalg.solve(basis.T @ proj @ basis, basis.T @ proj)
     t11 = proj @ a @ basis
     if k == 2:
         half_tr = 0.5 * (t11[0, 0] + t11[1, 1])

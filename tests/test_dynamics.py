@@ -252,23 +252,29 @@ def test_two_slow_modes_split_matches_ordered_schur(monkeypatch):
     assert [_assert_split_matches_schur(a) for a in gens] == [2] * len(gens)
 
 
-def test_slow_complex_pair_split_matches_ordered_schur():
+@pytest.mark.parametrize("slow, fast", [
+    ([[-1e-8, 3e-8], [-3e-8, -1e-8]], [[-2.0, 5.0], [-5.0, -2.0]]),
+    ([[-1e-8, 3e-8], [-3e-8, -1e-8]], [[-2.0, 1.0], [0.0, -2.0]]),
+    ([[-1e-8, 0.0], [0.0, -3e-9]], [[-2.0, 1.0], [0.0, -2.0]])])
+def test_hand_built_slow_pair_split_matches_ordered_schur(slow, fast):
     # no physical set has a slow complex pair: the slow modes are
     # population-like, as Gamma and the detuning sit in the polarization block
     # and set ||A||.  A real generator V B V^-1 built with one, the slow pair
-    # 1e-8 (-1 +- 3i) beside the fast pair -2 +- 5i, takes the k = 2 path
-    # without the rotation
+    # 1e-8 (-1 +- 3i), takes the k = 2 path without the rotation.  The fast
+    # Jordan block -2 (an exceptional point) is annihilated by p, which
+    # counts -2 twice; a split built from the eigenvectors of eig, whose
+    # matrix is singular there, is 1e-10 to 1e-1 off
     v = np.array([[1.0, 0.3, -0.5, 0.2], [-0.4, 1.2, 0.1, 0.6],
                   [0.2, -0.7, 0.9, -0.3], [0.5, 0.1, 0.4, 1.1]])
     b = np.zeros((4, 4))
-    b[:2, :2] = [[-1e-8, 3e-8], [-3e-8, -1e-8]]
-    b[2:, 2:] = [[-2.0, 5.0], [-5.0, -2.0]]
+    b[:2, :2] = slow
+    b[2:, 2:] = fast
     a = v @ b @ np.linalg.inv(v)
     assert _assert_split_matches_schur(a) == 2
     lam = np.sort_complex(np.linalg.eigvals(_slow_modes(a)[2]))
     # forming V B V^-1 in float64 moves each eigenvalue by up to ~cond(V) eps ||A||
     bound = np.linalg.cond(v) * np.finfo(float).eps * np.linalg.norm(a, 1)
-    assert np.abs(lam - 1e-8 * np.array([-1 - 3j, -1 + 3j])).max() <= bound
+    assert np.abs(lam - np.sort_complex(np.linalg.eigvals(np.array(slow)))).max() <= bound
 
 
 def test_two_slow_modes_match_exact_propagation():
@@ -289,6 +295,62 @@ def test_two_slow_modes_match_exact_propagation():
             dn_e = np.abs(traj.n_e[sampled] - exact[:, 1].real).max()
             dn_c = np.abs(traj.n_c[sampled] - exact[:, 0].real).max()
             assert dn_e <= 5e-15 and dn_c <= 5e-15, (gamma_ph, detuning, dn_e, dn_c)
+
+
+def _slow_projector_40_digits(a, k):
+    """The spectral projector of a's k eigenvalues of least modulus, and those eigenvalues, at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam, vec = mp.eig(mp.matrix(a.tolist()))
+        inv = vec ** -1
+        slow = sorted(range(len(lam)), key=lambda j: abs(lam[j]))[:k]
+        proj = np.array([[complex(mp.fsum(vec[i, j] * inv[j, m] for j in slow))
+                          for m in range(len(a))] for i in range(len(a))])
+        return proj.real, np.sort_complex(np.array([complex(lam[j]) for j in slow]))
+
+
+def test_split_with_a_fast_mode_near_the_cut(monkeypatch):
+    # gamma = 2 and kappa = 5 at |detuning| = 3e6 put the cut near 3, so the
+    # gamma mode is slow while the kappa mode, 2.5 times faster, is not: the
+    # fast-mode polynomial p is only 1 - 2/5 = 0.6 on the slow mode, and the
+    # split must not assume it to be 1 (that reads the projector 20% off).
+    # Against 40 digits the projector is within 1.2e-14 of its largest entry
+    # (the Schur route 7.2e-15) and the slow eigenvalue within 1e-40
+    sets = [SystemParams(gamma=2.0, kappa=5.0, eta=eta, gamma_ph=gph).with_detuning(detuning)
+            for eta in (0.0, 1.0) for gph in (0.0, 30.0) for detuning in (3e6, -3e6)]
+    gens = _handed_generators(sets, monkeypatch)
+    assert len(gens) == 2 * len(sets)
+    for a in gens:
+        basis, proj, gen = _slow_modes(a)
+        assert len(gen) == 1
+        ref, ref_lam = _slow_projector_40_digits(a, 1)
+        assert np.abs(basis @ proj - ref).max() <= 2e-14 * np.abs(ref).max()
+        assert np.abs(np.linalg.eigvals(gen) - ref_lam).max() <= 1e-14 * np.abs(ref_lam).max()
+
+
+@pytest.mark.parametrize("route", ["triple", "lindblad"])
+def test_fast_mode_near_the_cut_matches_exact_propagation(route):
+    # the sets of test_split_with_a_fast_mode_near_the_cut at detuning 3e6:
+    # every 10th of 201 uniform samples over 10/W.  A split that takes the
+    # fast-mode polynomial for a projector leaves n_e 1.2e-2 off here
+    for eta in (0.0, 1.0):
+        p = SystemParams(gamma=2.0, kappa=5.0, eta=eta).with_detuning(3e6)
+        t = np.linspace(0.0, 10.0 / transition_rate(p), 201)
+        sampled = np.arange(0, len(t), 10)
+        if route == "triple":
+            traj = evolve_triple(p, t_grid=t)
+            exact = _exact_propagation(triple_generator_matrix(p),
+                                       np.array([0.0, 1.0, 0.0, 0.0]), t[sampled])
+            exact_n_e, exact_n_c = exact[:, 1].real, exact[:, 0].real
+        else:
+            traj = evolve_lindblad(p, t_grid=t)
+            exact = _exact_propagation(liouvillian_matrix(p), np.eye(9)[0], t[sampled])
+            # rho_ee and rho_11 sit at 0 and 4 of rho.ravel()
+            exact_n_e, exact_n_c = exact[:, 0].real, exact[:, 4].real
+        assert traj.metadata["slow_modes"] == 1
+        dn_e = np.abs(traj.n_e[sampled] - exact_n_e).max()
+        dn_c = np.abs(traj.n_c[sampled] - exact_n_c).max()
+        assert dn_e <= 5e-15 and dn_c <= 5e-15, (eta, dn_e, dn_c)
 
 
 def _block_order_blocks(liou):
