@@ -25,6 +25,7 @@ propagated regression factors and a panel quadrature in tau.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +55,15 @@ __all__ = [
 
 COMPONENTS = ("21", "c", "F")
 # size of the (frequencies x (n_r + n_kk)) phase tables in _oracle_total, in
-# elements: the frequency grid is evaluated in blocks of about this size
-ORACLE_BLOCK_ELEMENTS = 1 << 20
+# elements: the frequency grid is evaluated in chunks of at most this size (and
+# at least one frequency).  Set from a sweep of the six seed-1
+# oracle-crosscheck tasks on a 2-vCPU Xeon VM (best of 7 per task, summed over
+# the round, three processes per size), with the tracemalloc peak of one
+# bare-emitter call: 1 << 12: 35.8-37.7 ms, 0.20 MB; 1 << 14: 26.2-28.8 ms,
+# 0.52 MB; 1 << 16: 27.3-27.8 ms, 1.82 MB; 1 << 18: 28.2-28.4 ms, 5.89 MB.
+# Smaller chunks pay numpy's per-call overhead; larger ones save no time and
+# raise the peak
+ORACLE_BLOCK_ELEMENTS = 1 << 14
 # the oracle's panel doubling must move its result by less than this (relative L2)
 ORACLE_REL_TOL = 1e-4
 
@@ -392,10 +400,39 @@ def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
     return out[:n]
 
 
+@functools.cache
+def _gauss_legendre_10():
+    """Nodes and weights of the 10-point Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Legendre Jacobi matrix,
+    the weights twice the squared first components of its eigenvectors."""
+    k = np.arange(1.0, 10.0)
+    x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    w = 2.0 * vec[0] ** 2
+    # the rule is symmetric about 0: average out the eigensolver's rounding
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _phase_powers(z: np.ndarray, n: int) -> np.ndarray:
+    """z^0 .. z^(n-1) along axis 1 for a column z: one complex multiply each."""
+    out = np.empty((len(z), n), dtype=complex)
+    out[:, :1] = 1.0
+    out[:, 1:] = z
+    return np.cumprod(out, axis=1, out=out)
+
+
 def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
                   m: IntegratedMoments, phase_per_panel: float) -> np.ndarray:
-    """Total spectrum from regression factors and panel quadrature in tau: per
-    frequency, n_r + #kk + 10 exponentials and about 4 (n_r + #kk) multiply-adds."""
+    """Total spectrum from regression factors and panel quadrature in tau.
+
+    Per frequency: 12 complex exponentials (one per-panel phase, one per-block
+    phase, ten node phases), n_r + #kk complex multiplies for the phase powers
+    and about 4 (n_r + #kk) multiply-adds.  The grid runs in chunks of
+    ORACLE_BLOCK_ELEMENTS // (n_r + #kk) frequencies, so the working memory is
+    bounded whatever the grid size; each frequency's arithmetic is the same in
+    any chunk, so the result does not depend on the chunk size."""
     dc = derive_couplings(p)
     mat = regression_matrix(p)
     # slowest decay of C(tau) from an independent eigensolver, not the closed form
@@ -404,7 +441,7 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
              + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * ds)
     h = phase_per_panel / f_max
     n_pan = int(math.ceil(tau_max / h))
-    x, w_gl = np.polynomial.legendre.leggauss(10)
+    x, w_gl = _gauss_legendre_10()
     off = 0.5 * h * (x + 1.0)
     # panel k = kk*n_r + r: e^{-ds tau/2} C(tau) = A_kk B_r O_j on the node
     # tau = k h + o_j, with A and B powers of one per-panel exponential
@@ -432,20 +469,21 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     q = np.stack([w * v @ e.T for e, w in zip(exps[1:], 0.5 * h * w_gl)])
     q, b, a = (np.ascontiguousarray(x.reshape(len(x), 4).T) for x in (q, b_r[:n_r], a_kk))
     rem = n_pan - (n_kk - 1) * n_r
-    out = []
-    n_blocks = 1 + len(nu_abs) * (n_r + n_kk) // ORACLE_BLOCK_ELEMENTS
-    for nu in np.array_split(nu_abs[:, None], n_blocks):
+    out = np.empty(len(nu_abs))
+    n_f = max(1, ORACLE_BLOCK_ELEMENTS // (n_r + n_kk))
+    for i in range(0, len(nu_abs), n_f):
+        nu = nu_abs[i:i + n_f, None]
         # einsum sums each factor in its own loops, never in a threaded BLAS product
-        e_r = np.exp(1j * h * nu * np.arange(n_r))
-        e_kk = np.exp(1j * h * n_r * nu * np.arange(n_kk))
+        e_r = _phase_powers(np.exp(1j * h * nu), n_r)
+        e_kk = _phase_powers(np.exp(1j * h * n_r * nu), n_kk)
         qf = np.einsum("fj,xj->fx", np.exp(1j * nu * off), q).reshape(-1, 2, 2)
         head, tail = (np.einsum("fr,xr->fx", e_r[:, s], b[:, s]).reshape(-1, 2, 2)
                       for s in (np.s_[:rem], np.s_[rem:]))
         front = np.einsum("fk,xk->fx", e_kk[:, :-1], a[:, :-1]).reshape(-1, 2, 2)
         full = front + e_kk[:, -1:, None] * a[:, -1].reshape(2, 2)
-        out.append((np.einsum("fac,fad,fdc->f", qf, full, head)
-                    + np.einsum("fac,fad,fdc->f", qf, front, tail)).real)
-    return np.concatenate(out)
+        out[i:i + n_f] = (np.einsum("fac,fad,fdc->f", qf, full, head)
+                          + np.einsum("fac,fad,fdc->f", qf, front, tail)).real
+    return out
 
 
 def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float) -> np.ndarray:
@@ -462,7 +500,10 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float) -> np.ndarray:
     attributes carry the achieved estimate and the tolerance.
 
     The tau sum runs in factored form, one 2x2 factor per index and frequency
-    and no BLAS product (:func:`_oracle_total`), on any grid.
+    and no BLAS product (:func:`_oracle_total`), on any grid.  A pass with n
+    panels costs each frequency 12 complex exponentials and about 10 sqrt(n)
+    complex multiplies; frequencies are taken in cache-sized chunks, so the
+    working memory stays well under a megabyte on grids of thousands of points.
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """

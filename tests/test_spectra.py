@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,12 +421,29 @@ def test_nonnegative_at_reference_parameter_sets():
         assert comp.s_total.min() >= -1e-6 * comp.s_total.max()
 
 
+def _bare_emitter_grid(p):
+    """The bare line's grid: 1601 points over 60 half-widths, 801 over 3."""
+    half_width = 0.5 * (p.gamma + DS)
+    return np.unique(np.concatenate([
+        np.linspace(-60.0 * half_width, 60.0 * half_width, 1601),
+        np.linspace(-3.0 * half_width, 3.0 * half_width, 801)]))
+
+
+def _oracle_panels(p, nu_abs, phase_per_panel):
+    """Panel width h and panel count of one oracle pass, as _oracle_total sets them."""
+    dc = derive_couplings(p)
+    mat = regression_matrix(p)
+    tau_max = 38.0 / (0.5 * DS - min(np.linalg.eigvals(mat).real.max(), 0.0) * 0.5)
+    f_max = (np.abs(nu_abs).max() + max(abs(p.omega21), abs(p.omega_c))
+             + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * DS)
+    h = phase_per_panel / f_max
+    return h, math.ceil(tau_max / h)
+
+
 def test_oracle_bare_emitter_line():
     p = SystemParams(g_abs=0.0, eta=0.0)
     half_width = 0.5 * (p.gamma + DS)
-    nu = np.unique(np.concatenate([
-        np.linspace(-60.0 * half_width, 60.0 * half_width, 1601),
-        np.linspace(-3.0 * half_width, 3.0 * half_width, 801)]))
+    nu = _bare_emitter_grid(p)
     s = spectrum_quadrature_oracle(p, nu, DS)
     peak_nu = nu[np.argmax(s)]
     assert abs(peak_nu) <= 2.0 * (nu[1] - nu[0])
@@ -448,7 +466,11 @@ def test_oracle_matches_closed_form_detuned():
 def test_oracle_pinned_values():
     # oracle output recorded on one uniform and one non-uniform grid: a
     # reordering of the tau sum may move it only by rounding, which the 1e-3
-    # bound against the closed form would not catch
+    # bound against the closed form would not catch.  The third set is the
+    # cancellation set of criterion 8 (eta = 1, gamma_ph = 0, detuning -3160):
+    # there the node weights cancel by about 1e7, and the oracle lies 2e-12 to
+    # 6e-12 of the peak off a long-double node sum, so a reordering may move it
+    # by that much
     cases = [
         (detuned(gamma_ph=30.0), np.linspace(-1050.0, 4210.0, 11), [
             6.290803707626204e-07, 8.203001480636119e-07, 5.243302003375694e-07,
@@ -460,6 +482,11 @@ def test_oracle_pinned_values():
             3.5416635721855326e-05, 0.0018765395096473321, 0.013051322911720566,
             0.031751609594393264, 0.0203575367498057, 0.004398420206726196,
             9.818484477552454e-05]),
+        (SystemParams(eta=1.0, gamma_ph=0.0).with_detuning(-3160.0),
+         np.array([-1050.0, -60.0, 0.0, 45.0, 1600.0, 3160.0, 4210.0]), [
+            2.902092173032167e-06, 0.0009547524402695184, 0.028909839537956478,
+            0.0013142786849463794, 1.2417657402341575e-06, 9.318397392377165e-06,
+            1.8928936171280775e-07]),
     ]
     for p, nu, pinned in cases:
         got = spectrum_quadrature_oracle(p, nu, DS)
@@ -478,11 +505,7 @@ def test_oracle_total_matches_direct_node_sum():
     # the oracle's node set: 10-point Gauss-Legendre panels of width h
     dc = derive_couplings(p)
     mat = regression_matrix(p)
-    tau_max = 38.0 / (0.5 * DS - min(np.linalg.eigvals(mat).real.max(), 0.0) * 0.5)
-    f_max = (np.abs(nu_abs).max() + max(abs(p.omega21), abs(p.omega_c))
-             + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * DS)
-    h = 0.9 / f_max
-    n_pan = math.ceil(tau_max / h)
+    h, n_pan = _oracle_panels(p, nu_abs, 0.9)
     assert 1000 <= n_pan <= 2000 and n_pan % (math.isqrt(n_pan - 1) + 1)
     x, w = np.polynomial.legendre.leggauss(10)
     tau = (h * np.arange(n_pan)[:, None] + 0.5 * h * (x + 1.0)).ravel()
@@ -495,6 +518,62 @@ def test_oracle_total_matches_direct_node_sum():
     c = expm((mat - 0.5 * DS * np.eye(2)) * tau[:, None, None])
     direct = (np.exp(1j * np.outer(nu_abs, tau)) @ (weight * np.einsum("nab,ab->n", c, v))).real
     assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("case", ["bare emitter", "criterion 8"])
+def test_oracle_chunk_size_does_not_change_the_result(monkeypatch, case):
+    # each frequency runs the same arithmetic in any chunk: chunks of one
+    # frequency, and of seven with a partial last chunk, give the default's
+    # array bit for bit on both passes
+    if case == "bare emitter":
+        p = SystemParams(g_abs=0.0, eta=0.0, gamma=1.579)
+        nu = _bare_emitter_grid(p)
+    else:
+        p = SystemParams(eta=1.0, gamma_ph=30.0).with_detuning(3160.0)
+        nu = np.linspace(-1050.0, 4210.0, 211)
+    assert len(nu) % 7
+    nu_abs = nu + p.omega21
+    m = integrated_moments(p, source="ode")
+    for phase in (0.9, 0.45):
+        n_pan = _oracle_panels(p, nu_abs, phase)[1]
+        n_r = math.isqrt(n_pan - 1) + 1
+        per_freq = n_r + -(-n_pan // n_r)
+        assert len(nu) * per_freq > spectra.ORACLE_BLOCK_ELEMENTS  # several default chunks
+        default = _oracle_total(p, nu_abs, DS, m, phase)
+        for block in (1, 7 * per_freq):
+            monkeypatch.setattr(spectra, "ORACLE_BLOCK_ELEMENTS", block)
+            assert np.array_equal(_oracle_total(p, nu_abs, DS, m, phase), default)
+        monkeypatch.undo()
+
+
+def test_oracle_working_memory_is_bounded():
+    # the phase tables live per chunk of frequencies: one call on
+    # oracle-crosscheck's bare-emitter grid (about 2,400 points) peaks at
+    # about 0.5 MB, where one table over the whole grid takes 9.6 MB.  numpy
+    # reports its buffers to tracemalloc, so the reading does not depend on
+    # the allocator or on other processes
+    p = SystemParams(g_abs=0.0, eta=0.0, gamma=1.579)
+    nu = _bare_emitter_grid(p)
+    spectrum_quadrature_oracle(p, nu[:5], DS)
+    tracemalloc.start()
+    try:
+        spectrum_quadrature_oracle(p, nu, DS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
+def test_gauss_legendre_rule():
+    # the oracle's rule, computed without numpy.polynomial, against numpy's
+    # rule and on the monomials that 10 points integrate exactly
+    x, w = spectra._gauss_legendre_10()
+    ref_x, ref_w = np.polynomial.legendre.leggauss(10)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.abs(w - ref_w).max() <= 1e-15
+    for k in range(20):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x ** k - exact) <= 4.0 * np.finfo(float).eps
 
 
 def test_oracle_integrated_weight_is_one():
