@@ -36,7 +36,7 @@ __all__ = [
 
 
 class RegimeWarning(UserWarning):
-    """Emitted when kappa < gamma, where the slow/fast branch roles swap."""
+    """Emitted when kappa < gamma, where W is taken from the faster -lambda_minus branch."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,10 @@ def rate_coefficients(p: SystemParams) -> CoarseRateSystem:
 def transition_rate(p: SystemParams) -> float:
     """Decay rate W of the initially excited emitter.
 
-    W = -lambda_plus for kappa >= gamma.  For kappa < gamma the slow branch is
-    -lambda_minus instead; that value is returned along with a RegimeWarning
-    rather than silently switching.
+    W = -lambda_plus, the slow rate, for kappa >= gamma.  For kappa < gamma W
+    is -lambda_minus instead, the fast rate (lambda_minus <= lambda_plus, so
+    -lambda_minus is never the slower one); that value is returned along
+    with a RegimeWarning rather than silently switching.
     """
     cs = rate_coefficients(p)
     if p.kappa < p.gamma:

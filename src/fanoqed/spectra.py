@@ -54,16 +54,17 @@ __all__ = [
 ]
 
 COMPONENTS = ("21", "c", "F")
-# size of the (frequencies x (n_r + n_kk)) phase tables in _oracle_total, in
+# size of the (frequencies x 10) node phase tables in _oracle_total, in
 # elements: the frequency grid is evaluated in chunks of at most this size (and
 # at least one frequency).  Set from a sweep of the six seed-1
 # oracle-crosscheck tasks on a 2-vCPU Xeon VM (best of 7 per task, summed over
 # the round, three processes per size), with the tracemalloc peak of one
-# bare-emitter call: 1 << 12: 35.8-37.7 ms, 0.20 MB; 1 << 14: 26.2-28.8 ms,
-# 0.52 MB; 1 << 16: 27.3-27.8 ms, 1.82 MB; 1 << 18: 28.2-28.4 ms, 5.89 MB.
-# Smaller chunks pay numpy's per-call overhead; larger ones save no time and
-# raise the peak
-ORACLE_BLOCK_ELEMENTS = 1 << 14
+# bare-emitter call: 1 << 10: 6.7-7.0 ms, 0.13 MB; 1 << 11: 6.1-6.5 ms,
+# 0.19 MB; 1 << 12: 5.7-5.9 ms (one process on a slow spell 9.4), 0.31 MB;
+# 1 << 13: 5.6-6.2 ms, 0.56 MB; 1 << 14: 5.9-6.4 ms, 0.67 MB.  Smaller
+# chunks pay numpy's per-call overhead; larger ones save no time and raise
+# the peak
+ORACLE_BLOCK_ELEMENTS = 1 << 12
 # the oracle's panel doubling must move its result by less than this (relative L2)
 ORACLE_REL_TOL = 1e-4
 
@@ -328,11 +329,20 @@ def _grid_margin(p: SystemParams, ds: float) -> float:
     return 10.0 * max(p.kappa, ds, p.g_abs)
 
 
+def _require_finite_grid(nu: np.ndarray) -> None:
+    """Raise ValueError unless the frequency grid nu has points, all finite."""
+    bad = np.count_nonzero(~np.isfinite(nu))
+    if nu.size == 0 or bad:
+        raise ValueError(f"frequency grid nu must hold finite values, got {nu.size} "
+                         f"points, {bad} of them not finite")
+
+
 def _check_grid(p: SystemParams, nu: np.ndarray, ds: float) -> None:
-    """Raise ValueError unless nu covers both resonances with :func:`_grid_margin`.
+    """Raise ValueError unless nu is finite and covers both resonances by :func:`_grid_margin`.
 
     An array omega_c (a block of detunings) is checked at its extremes.
     """
+    _require_finite_grid(nu)
     margin = _grid_margin(p, ds)
     shifts = np.ravel(p.omega_c - p.omega21).tolist()
     lo, hi = min(0.0, *shifts), max(0.0, *shifts)
@@ -391,15 +401,6 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
         s_total=vals["total"], ds=ds, sum_rule=m.sum_rule(p))
 
 
-def _matrix_powers(e: np.ndarray, n: int) -> np.ndarray:
-    """e^0 .. e^(n-1) of a 2x2 matrix, by doubling."""
-    out = np.eye(2, dtype=complex)[None]
-    while len(out) < n:
-        out = np.concatenate([out, out @ e])
-        e = e @ e
-    return out[:n]
-
-
 @functools.cache
 def _gauss_legendre_10():
     """Nodes and weights of the 10-point Gauss-Legendre rule on [-1, 1].
@@ -415,24 +416,30 @@ def _gauss_legendre_10():
     return x, w
 
 
-def _phase_powers(z: np.ndarray, n: int) -> np.ndarray:
-    """z^0 .. z^(n-1) along axis 1 for a column z: one complex multiply each."""
-    out = np.empty((len(z), n), dtype=complex)
-    out[:, :1] = 1.0
-    out[:, 1:] = z
-    return np.cumprod(out, axis=1, out=out)
-
-
 def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
                   m: IntegratedMoments, phase_per_panel: float) -> np.ndarray:
     """Total spectrum from regression factors and panel quadrature in tau.
 
-    Per frequency: 12 complex exponentials (one per-panel phase, one per-block
-    phase, ten node phases), n_r + #kk complex multiplies for the phase powers
-    and about 4 (n_r + #kk) multiply-adds.  The grid runs in chunks of
-    ORACLE_BLOCK_ELEMENTS // (n_r + #kk) frequencies, so the working memory is
-    bounded whatever the grid size; each frequency's arithmetic is the same in
-    any chunk, so the result does not depend on the chunk size."""
+    On node j of panel k < n, tau = k h + o_j, the damped regression factor
+    e^{-ds tau/2} C(tau) is E^k O_j, with E and O_j the exponentials of
+    M - ds/2 over h and over o_j.  So S(nu) = Re sum_j e^{i nu o_j} w_j
+    sum_ab (G O_j)_ab V_ab, where the panel sum G = sum_k (zE)^k with
+    z = e^{i nu h} is a matrix geometric series, summed in closed form:
+    G = (1 - z^n E^n) adj(1 - zE) / det(1 - zE), and for 2x2 matrices
+    adj(1 - zE) = 1 - z adj E and det(1 - zE) = 1 - z (tr E - z det E).
+    G's numerator is thus 1 - z adj E - z^n (E^n - z E^n adj E), and each
+    frequency needs only the node sums u_X of X = 1, adj E, E^n, E^n adj E.
+    E^n is the power of the same E, by repeated squaring, so in exact
+    arithmetic the closed form is this E's panel sum.  M's modes decay, so
+    E's eigenvalues lie within e^{-ds h/2} of 0 and |det(1 - zE)| >=
+    (1 - e^{-ds h/2})^2 > 0 for ds > 0: the division cannot degenerate.
+
+    Per frequency: 12 complex exponentials (z, z^n and ten node phases), 40
+    multiply-adds for the u_X and a handful of operations for the fraction,
+    whatever the panel count.  The grid runs in chunks of
+    ORACLE_BLOCK_ELEMENTS // 10 frequencies, so the working memory is bounded
+    whatever the grid size; each frequency's arithmetic is the same in any
+    chunk, so the result does not depend on the chunk size."""
     dc = derive_couplings(p)
     mat = regression_matrix(p)
     # slowest decay of C(tau) from an independent eigensolver, not the closed form
@@ -443,15 +450,10 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     n_pan = int(math.ceil(tau_max / h))
     x, w_gl = _gauss_legendre_10()
     off = 0.5 * h * (x + 1.0)
-    # panel k = kk*n_r + r: e^{-ds tau/2} C(tau) = A_kk B_r O_j on the node
-    # tau = k h + o_j, with A and B powers of one per-panel exponential
-    n_r = math.isqrt(n_pan - 1) + 1
-    n_kk = -(-n_pan // n_r)
     damped = mat - 0.5 * ds * np.eye(2)
     # the per-panel exponential and the ten node exponentials in one batch
     exps = _expm_stack(damped, np.append(h, off))
-    b_r = _matrix_powers(exps[0], n_r + 1)
-    a_kk = _matrix_powers(b_r[n_r], n_kk)
+    e = exps[0]
     # correlator kernels: C(tau) times the integrated moments (the trajectory-time
     # integral, reduced exactly by t - tau -> s); V = G N^T/pi weights them by the
     # collective decay matrix G of the master equation, with N_jk the integral of
@@ -461,28 +463,21 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
     g = collective_decay_matrix(p.gamma, p.kappa, p.eta, p.theta21, p.theta_c)
     v = (g[:, :, None] * mom).sum(axis=1) / math.pi
-    # W = w_j sum_ab (A_kk B_r O_j)_ab V_ab = sum_ad A_kk[a, d] (q_j B_r^T)[a, d] has
-    # rank 4 between kk and (r, j), so S(nu) = Re sum_acd P_A[a, d] Q[a, c] P_B[d, c]
-    # with P_A = sum_kk e^{i nu kk n_r h} A_kk, P_B = sum_r e^{i nu r h} B_r and
-    # Q = sum_j e^{i nu o_j} q_j.  The last kk block has only rem panels, so P_A over
-    # all kk meets the head r < rem of P_B, and P_A without that block meets its tail
-    q = np.stack([w * v @ e.T for e, w in zip(exps[1:], 0.5 * h * w_gl)])
-    q, b, a = (np.ascontiguousarray(x.reshape(len(x), 4).T) for x in (q, b_r[:n_r], a_kk))
-    rem = n_pan - (n_kk - 1) * n_r
+    # the weights w_j sum_ab (X O_j)_ab V_ab of u_X, one row per X
+    adj_e = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]])
+    e_n = np.linalg.matrix_power(e, n_pan)
+    xs = np.stack([np.eye(2), adj_e, e_n, e_n @ adj_e])
+    c = np.einsum("xac,jcb,ab->xj", xs, exps[1:], v) * (0.5 * h * w_gl)
+    tr_e, det_e = e[0, 0] + e[1, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     out = np.empty(len(nu_abs))
-    n_f = max(1, ORACLE_BLOCK_ELEMENTS // (n_r + n_kk))
+    n_f = max(1, ORACLE_BLOCK_ELEMENTS // len(off))
     for i in range(0, len(nu_abs), n_f):
-        nu = nu_abs[i:i + n_f, None]
-        # einsum sums each factor in its own loops, never in a threaded BLAS product
-        e_r = _phase_powers(np.exp(1j * h * nu), n_r)
-        e_kk = _phase_powers(np.exp(1j * h * n_r * nu), n_kk)
-        qf = np.einsum("fj,xj->fx", np.exp(1j * nu * off), q).reshape(-1, 2, 2)
-        head, tail = (np.einsum("fr,xr->fx", e_r[:, s], b[:, s]).reshape(-1, 2, 2)
-                      for s in (np.s_[:rem], np.s_[rem:]))
-        front = np.einsum("fk,xk->fx", e_kk[:, :-1], a[:, :-1]).reshape(-1, 2, 2)
-        full = front + e_kk[:, -1:, None] * a[:, -1].reshape(2, 2)
-        out[i:i + n_f] = (np.einsum("fac,fad,fdc->f", qf, full, head)
-                          + np.einsum("fac,fad,fdc->f", qf, front, tail)).real
+        nu = nu_abs[i:i + n_f]
+        z, z_n = np.exp(1j * h * nu), np.exp(1j * (h * n_pan) * nu)
+        # einsum sums over the nodes in its own loop, never in a threaded BLAS product
+        u_1, u_adj, u_n, u_nadj = np.einsum("fj,xj->xf", np.exp(1j * nu[:, None] * off), c)
+        num = u_1 - z * u_adj - z_n * (u_n - z * u_nadj)
+        out[i:i + n_f] = (num / (1.0 - z * (tr_e - z * det_e))).real
     return out
 
 
@@ -499,16 +494,20 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float) -> np.ndarray:
     raises QuadratureConvergenceError, whose ``achieved`` and ``rel_tol``
     attributes carry the achieved estimate and the tolerance.
 
-    The tau sum runs in factored form, one 2x2 factor per index and frequency
-    and no BLAS product (:func:`_oracle_total`), on any grid.  A pass with n
-    panels costs each frequency 12 complex exponentials and about 10 sqrt(n)
-    complex multiplies; frequencies are taken in cache-sized chunks, so the
-    working memory stays well under a megabyte on grids of thousands of points.
+    The sum over panels is a 2x2 matrix geometric series, summed in closed
+    form on arrays over frequency with no BLAS product (:func:`_oracle_total`),
+    on any grid.  A pass costs each frequency 12 complex exponentials and a
+    few dozen complex operations, whatever its panel count; frequencies are
+    taken in cache-sized chunks, so the working memory stays well under a
+    megabyte on grids of thousands of points.  An empty grid, or one with a
+    value that is not finite, raises ValueError before any work.
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """
     _require_scalar_omega_c(p, "spectrum_quadrature_oracle")
-    nu_abs = np.atleast_1d(np.asarray(nu, float)) + p.omega21
+    nu_rel = np.atleast_1d(np.asarray(nu, float))
+    _require_finite_grid(nu_rel)
+    nu_abs = nu_rel + p.omega21
     m = integrated_moments(p, source="ode")
     coarse = _oracle_total(p, nu_abs, ds, m, phase_per_panel=0.9)
     fine = _oracle_total(p, nu_abs, ds, m, phase_per_panel=0.45)

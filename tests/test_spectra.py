@@ -14,7 +14,8 @@ from fanoqed import (SystemParams, derive_couplings, rate_coefficients,
                      IntegratedMoments, DivergentMomentsError,
                      QuadratureConvergenceError)
 from fanoqed import spectra
-from fanoqed.dynamics import triple_generator_matrix
+from fanoqed.dynamics import triple_generator_matrix, _expm_stack
+from fanoqed.params import collective_decay_matrix
 from fanoqed.spectra import _f_coefficients, _oracle_total, _pi_c_total
 from conftest import random_valid_params
 
@@ -328,6 +329,18 @@ def test_total_spectrum_rejects_narrow_grid(baseline_params):
         total_spectrum(baseline_params, np.linspace(-50.0, 50.0, 101), DS)
 
 
+@pytest.mark.parametrize("grid", [[], [-5000.0, np.nan, 5000.0], [-5000.0, 0.0, np.inf]],
+                         ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("spectrum", [total_spectrum, spectrum_quadrature_oracle],
+                         ids=["closed form", "oracle"])
+def test_spectra_reject_unusable_grids(spectrum, grid):
+    # refused up front with the grid named, not deep inside numpy (an empty
+    # grid, NaN in an integer conversion, a divide by zero for inf); the
+    # oracle takes no resonance margin, so its check is this one only
+    with pytest.raises(ValueError, match="^frequency grid nu must hold finite values"):
+        spectrum(SystemParams(), np.array(grid), DS)
+
+
 def test_default_grid_satisfies_margin(rng):
     for _ in range(20):
         p = random_valid_params(rng)
@@ -520,6 +533,39 @@ def test_oracle_total_matches_direct_node_sum():
     assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
+def test_oracle_against_long_double_panel_sum():
+    # the coarse pass on the cancellation set (eta = 1, gamma_ph = 0,
+    # detuning -3160) at the pinned frequencies, against sum_k z^k E^k summed
+    # panel by panel in long double from the oracle's own float64 exponentials,
+    # V and nodes (E^k by doubling, z^k = e^{i nu k h} in long double).  The
+    # closed-form panel sum lies 5.0e-13 of the peak off it, the bound leaves
+    # twice that; the earlier term-by-term factored sum lay 1.6e-12 off
+    p = SystemParams(eta=1.0, gamma_ph=0.0).with_detuning(-3160.0)
+    nu_abs = np.array([-1050.0, -60.0, 0.0, 45.0, 1600.0, 3160.0, 4210.0]) + p.omega21
+    m = integrated_moments(p, source="ode")
+    got = _oracle_total(p, nu_abs, DS, m, phase_per_panel=0.9)
+    h, n_pan = _oracle_panels(p, nu_abs, 0.9)
+    x, w = spectra._gauss_legendre_10()
+    off = 0.5 * h * (x + 1.0)
+    exps = _expm_stack(regression_matrix(p) - 0.5 * DS * np.eye(2), np.append(h, off))
+    mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
+    g = collective_decay_matrix(p.gamma, p.kappa, p.eta, p.theta21, p.theta_c)
+    v = (g[:, :, None] * mom).sum(axis=1) / math.pi
+    ld, cld = np.longdouble, np.clongdouble
+    powers, e = np.eye(2, dtype=cld)[None], exps[0].astype(cld)
+    while len(powers) < n_pan:
+        powers, e = np.concatenate([powers, powers @ e]), e @ e
+    powers = powers[:n_pan].reshape(n_pan, 4)
+    # q_j = w_j V O_j^T: sum_ab (E^k O_j)_ab V_ab = sum_ad E^k[a, d] q_j[a, d]
+    q = np.einsum("j,ac,jdc->jad", (0.5 * h * w).astype(ld), v.astype(cld),
+                  exps[1:].astype(cld)).reshape(-1, 4)
+    k = np.arange(n_pan, dtype=ld)
+    ref = np.array([(np.exp(1j * (ld(nu) * ld(h) * k)) @ powers
+                     * (np.exp(1j * (ld(nu) * off.astype(ld))) @ q)).sum().real
+                    for nu in nu_abs])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("case", ["bare emitter", "criterion 8"])
 def test_oracle_chunk_size_does_not_change_the_result(monkeypatch, case):
     # each frequency runs the same arithmetic in any chunk: chunks of one
@@ -529,16 +575,15 @@ def test_oracle_chunk_size_does_not_change_the_result(monkeypatch, case):
         p = SystemParams(g_abs=0.0, eta=0.0, gamma=1.579)
         nu = _bare_emitter_grid(p)
     else:
+        # criterion 8's 211-point span, five times as dense so that it spans chunks
         p = SystemParams(eta=1.0, gamma_ph=30.0).with_detuning(3160.0)
-        nu = np.linspace(-1050.0, 4210.0, 211)
+        nu = np.linspace(-1050.0, 4210.0, 1051)
     assert len(nu) % 7
     nu_abs = nu + p.omega21
     m = integrated_moments(p, source="ode")
+    per_freq = len(spectra._gauss_legendre_10()[0])  # one phase table entry per node
+    assert len(nu) * per_freq > spectra.ORACLE_BLOCK_ELEMENTS  # several default chunks
     for phase in (0.9, 0.45):
-        n_pan = _oracle_panels(p, nu_abs, phase)[1]
-        n_r = math.isqrt(n_pan - 1) + 1
-        per_freq = n_r + -(-n_pan // n_r)
-        assert len(nu) * per_freq > spectra.ORACLE_BLOCK_ELEMENTS  # several default chunks
         default = _oracle_total(p, nu_abs, DS, m, phase)
         for block in (1, 7 * per_freq):
             monkeypatch.setattr(spectra, "ORACLE_BLOCK_ELEMENTS", block)
