@@ -213,6 +213,8 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
     with one refinement step whose residual A I + y0 is a compensated (Dot2)
     product, as a check independent of the closed forms.
     """
+    if source not in ("coarse", "ode"):
+        raise ValueError(f"unknown moment source {source!r}")
     _require_scalar_omega_c(p, "integrated_moments")
     cs = rate_coefficients(p)
     if _moments_diverge(p, cs.lambda_plus):
@@ -220,16 +222,13 @@ def integrated_moments(p: SystemParams, source: str = "coarse") -> IntegratedMom
     if source == "coarse":
         m = _coarse_moments(p, cs)
         return IntegratedMoments(i_e=float(m.i_e), i_c=float(m.i_c), i_p=complex(m.i_p))
-    if source == "ode":
-        a = triple_generator_matrix(p)
-        y0 = np.array([0.0, 1.0, 0.0, 0.0])
-        x = np.linalg.solve(a, -y0)
-        # A x + y0 cancels to rounding, so it is summed as one Dot2 product
-        resid = _matmul_dot2(np.hstack([a, y0[:, None]]), np.append(x, 1.0)[:, None])
-        x -= np.linalg.solve(a, resid[:, 0])
-        return IntegratedMoments(i_e=float(x[1]), i_c=float(x[0]),
-                                 i_p=complex(x[2], x[3]))
-    raise ValueError(f"unknown moment source {source!r}")
+    a = triple_generator_matrix(p)
+    y0 = np.array([0.0, 1.0, 0.0, 0.0])
+    x = np.linalg.solve(a, -y0)
+    # A x + y0 cancels to rounding, so it is summed as one Dot2 product
+    resid = _matmul_dot2(np.hstack([a, y0[:, None]]), np.append(x, 1.0)[:, None])
+    x -= np.linalg.solve(a, resid[:, 0])
+    return IntegratedMoments(i_e=float(x[1]), i_c=float(x[0]), i_p=complex(x[2], x[3]))
 
 
 def _f_coefficients(p: SystemParams, m: IntegratedMoments):
@@ -270,8 +269,7 @@ def _total(p: SystemParams, nu_rel, ds: float, i_p):
     scalar call.  The only copy of the total's algebra; its input checks
     on the grid are :func:`_check_grid`'s.
     """
-    if ds <= 0.0:
-        raise ValueError(f"filter width ds must be positive, got {ds}")
+    _require_filter_width(ds)
     b = 1j * (np.asarray(nu_rel, float) + p.omega21) - 0.5 * ds
     mat = _regression(p)
     char = (b + mat[0][0]) * (b + mat[1][1]) - mat[0][1] * mat[1][0]  # det(b + M)
@@ -329,6 +327,12 @@ def _grid_margin(p: SystemParams, ds: float) -> float:
     return 10.0 * max(p.kappa, ds, p.g_abs)
 
 
+def _require_filter_width(ds: float) -> None:
+    """Raise ValueError unless the filter width ds is finite and positive."""
+    if not 0.0 < ds < math.inf:  # also false for NaN
+        raise ValueError(f"filter width ds must be finite and positive, got {ds}")
+
+
 def _require_finite_grid(nu: np.ndarray) -> None:
     """Raise ValueError unless the frequency grid nu has points, all finite."""
     bad = np.count_nonzero(~np.isfinite(nu))
@@ -346,9 +350,10 @@ def _check_grid(p: SystemParams, nu: np.ndarray, ds: float) -> None:
     margin = _grid_margin(p, ds)
     shifts = np.ravel(p.omega_c - p.omega21).tolist()
     lo, hi = min(0.0, *shifts), max(0.0, *shifts)
-    if nu[0] > lo - margin or nu[-1] < hi + margin:
+    nu_lo, nu_hi = nu.min(), nu.max()
+    if nu_lo > lo - margin or nu_hi < hi + margin:
         raise ValueError(
-            f"frequency grid [{nu[0]}, {nu[-1]}] must cover both resonances "
+            f"frequency grid [{nu_lo}, {nu_hi}] must cover both resonances "
             f"[{lo}, {hi}] with margin >= {margin}")
 
 
@@ -390,6 +395,7 @@ def total_spectrum(p: SystemParams, nu=None, ds: float = 20.0,
     interference that survives pure dephasing.
     """
     _require_scalar_omega_c(p, "total_spectrum")
+    _require_filter_width(ds)
     if nu is None:
         nu = default_frequency_grid(p, ds)
     nu = np.asarray(nu, float)
@@ -420,34 +426,28 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
                   m: IntegratedMoments, phase_per_panel: float) -> np.ndarray:
     """Total spectrum from regression factors and panel quadrature in tau.
 
-    On node j of panel k < n, tau = k h + o_j, the damped regression factor
-    e^{-ds tau/2} C(tau) is E^k O_j, with E and O_j the exponentials of
-    M - ds/2 over h and over o_j.  So S(nu) = Re sum_j e^{i nu o_j} w_j
-    sum_ab (G O_j)_ab V_ab, where the panel sum G = sum_k (zE)^k with
-    z = e^{i nu h} is a matrix geometric series, summed in closed form:
-    G = (1 - z^n E^n) adj(1 - zE) / det(1 - zE), and for 2x2 matrices
-    adj(1 - zE) = 1 - z adj E and det(1 - zE) = 1 - z (tr E - z det E).
-    G's numerator is thus 1 - z adj E - z^n (E^n - z E^n adj E), and each
-    frequency needs only the node sums u_X of X = 1, adj E, E^n, E^n adj E.
-    E^n is the power of the same E, by repeated squaring, so in exact
-    arithmetic the closed form is this E's panel sum.  M's modes decay, so
-    E's eigenvalues lie within e^{-ds h/2} of 0 and |det(1 - zE)| >=
-    (1 - e^{-ds h/2})^2 > 0 for ds > 0: the division cannot degenerate.
+    On node j of panel k = 0, 1, ..., tau = k h + o_j, the damped regression
+    factor e^{-ds tau/2} C(tau) is E^k O_j, with E and O_j the exponentials
+    of M - ds/2 over h and over o_j.  So S(nu) = Re sum_j e^{i nu o_j} w_j
+    sum_ab (G O_j)_ab V_ab, where G = sum_k (zE)^k with z = e^{i nu h} is a
+    matrix geometric series, summed to tau = infinity in closed form: for
+    2x2 matrices G = (1 - zE)^-1 = (1 - z adj E) / (1 - z (tr E - z det E)),
+    so each frequency needs only the node sums u_1 and u_adj of 1 and adj E.
+    M + M^H = -[[gamma + 2 gamma_ph, gamma_f], [gamma_f*, kappa]] is negative
+    semidefinite, so |E| <= e^{-ds h/2} < 1 for ds > 0: the series converges,
+    its sum is exact and |det(1 - zE)| >= (1 - e^{-ds h/2})^2 > 0.  The only
+    approximation is the 10-point Gauss rule on each panel.
 
-    Per frequency: 12 complex exponentials (z, z^n and ten node phases), 40
-    multiply-adds for the u_X and a handful of operations for the fraction,
-    whatever the panel count.  The grid runs in chunks of
-    ORACLE_BLOCK_ELEMENTS // 10 frequencies, so the working memory is bounded
-    whatever the grid size; each frequency's arithmetic is the same in any
-    chunk, so the result does not depend on the chunk size."""
+    Per frequency: 11 complex exponentials (z and ten node phases), 20
+    multiply-adds for the u_X and a handful of operations for the fraction.
+    The grid runs in chunks of ORACLE_BLOCK_ELEMENTS // 10 frequencies, so
+    the working memory is bounded whatever the grid size; each frequency's
+    arithmetic is the same in any chunk, so the result does not depend on it."""
     dc = derive_couplings(p)
     mat = regression_matrix(p)
-    # slowest decay of C(tau) from an independent eigensolver, not the closed form
-    tau_max = 38.0 / (0.5 * ds - min(np.linalg.eigvals(mat).real.max(), 0.0) * 0.5)
     f_max = (np.abs(nu_abs).max() + max(abs(p.omega21), abs(p.omega_c))
              + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * ds)
     h = phase_per_panel / f_max
-    n_pan = int(math.ceil(tau_max / h))
     x, w_gl = _gauss_legendre_10()
     off = 0.5 * h * (x + 1.0)
     damped = mat - 0.5 * ds * np.eye(2)
@@ -465,19 +465,17 @@ def _oracle_total(p: SystemParams, nu_abs: np.ndarray, ds: float,
     v = (g[:, :, None] * mom).sum(axis=1) / math.pi
     # the weights w_j sum_ab (X O_j)_ab V_ab of u_X, one row per X
     adj_e = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]])
-    e_n = np.linalg.matrix_power(e, n_pan)
-    xs = np.stack([np.eye(2), adj_e, e_n, e_n @ adj_e])
+    xs = np.stack([np.eye(2), adj_e])
     c = np.einsum("xac,jcb,ab->xj", xs, exps[1:], v) * (0.5 * h * w_gl)
     tr_e, det_e = e[0, 0] + e[1, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     out = np.empty(len(nu_abs))
     n_f = max(1, ORACLE_BLOCK_ELEMENTS // len(off))
     for i in range(0, len(nu_abs), n_f):
         nu = nu_abs[i:i + n_f]
-        z, z_n = np.exp(1j * h * nu), np.exp(1j * (h * n_pan) * nu)
+        z = np.exp(1j * h * nu)
         # einsum sums over the nodes in its own loop, never in a threaded BLAS product
-        u_1, u_adj, u_n, u_nadj = np.einsum("fj,xj->xf", np.exp(1j * nu[:, None] * off), c)
-        num = u_1 - z * u_adj - z_n * (u_n - z * u_nadj)
-        out[i:i + n_f] = (num / (1.0 - z * (tr_e - z * det_e))).real
+        u_1, u_adj = np.einsum("fj,xj->xf", np.exp(1j * nu[:, None] * off), c)
+        out[i:i + n_f] = ((u_1 - z * u_adj) / (1.0 - z * (tr_e - z * det_e))).real
     return out
 
 
@@ -494,17 +492,18 @@ def spectrum_quadrature_oracle(p: SystemParams, nu, ds: float) -> np.ndarray:
     raises QuadratureConvergenceError, whose ``achieved`` and ``rel_tol``
     attributes carry the achieved estimate and the tolerance.
 
-    The sum over panels is a 2x2 matrix geometric series, summed in closed
-    form on arrays over frequency with no BLAS product (:func:`_oracle_total`),
-    on any grid.  A pass costs each frequency 12 complex exponentials and a
-    few dozen complex operations, whatever its panel count; frequencies are
-    taken in cache-sized chunks, so the working memory stays well under a
-    megabyte on grids of thousands of points.  An empty grid, or one with a
-    value that is not finite, raises ValueError before any work.
+    The panel sum out to tau = infinity is a 2x2 matrix geometric series,
+    summed exactly in closed form for ds > 0, with no BLAS product
+    (:func:`_oracle_total`); the 10-point Gauss rule on each panel is the
+    only approximation.  A pass costs each frequency 11 complex exponentials
+    and a few dozen operations, in cache-sized chunks that keep the working
+    memory well under a megabyte.  A grid that is empty or not finite, or a
+    filter width ds that is not finite and positive, raises ValueError first.
 
     nu is relative to omega21; returns the total spectrum on the grid.
     """
     _require_scalar_omega_c(p, "spectrum_quadrature_oracle")
+    _require_filter_width(ds)
     nu_rel = np.atleast_1d(np.asarray(nu, float))
     _require_finite_grid(nu_rel)
     nu_abs = nu_rel + p.omega21

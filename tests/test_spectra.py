@@ -164,6 +164,10 @@ def test_moments_diverge_at_exact_antiresonance():
         integrated_moments(p)
     with pytest.raises(ValueError):
         integrated_moments(SystemParams(), source="simpson")
+    # an unknown source is refused before the rate work, which raises
+    # DivergentMomentsError this close to the default rate zero
+    with pytest.raises(ValueError, match="unknown moment source"):
+        integrated_moments(SystemParams().with_detuning(-3159.0154), source="bogus")
 
 
 def test_interference_component_vanishes_at_zero_overlap():
@@ -341,6 +345,27 @@ def test_spectra_reject_unusable_grids(spectrum, grid):
         spectrum(SystemParams(), np.array(grid), DS)
 
 
+@pytest.mark.parametrize("ds", [0.0, -5.0, np.nan, np.inf])
+@pytest.mark.parametrize("spectrum", [total_spectrum, spectrum_quadrature_oracle],
+                         ids=["closed form", "oracle"])
+def test_spectra_reject_unusable_filter_width(spectrum, ds):
+    # refused before any work: ds <= 0 would give numbers (the oracle a
+    # negative "spectrum"), and NaN or inf would fail inside numpy or give NaN;
+    # total_spectrum checks before it makes its default grid
+    p = SystemParams(gamma_ph=30.0)
+    nu = None if spectrum is total_spectrum else np.linspace(-1000.0, 1000.0, 11)
+    with pytest.raises(ValueError, match="^filter width ds must be finite and positive"):
+        spectrum(p, nu, ds)
+
+
+def test_total_spectrum_takes_a_descending_grid(baseline_params):
+    # the grid check reads the grid's extremes, not its first and last points
+    nu = default_frequency_grid(baseline_params, DS)
+    forward = total_spectrum(baseline_params, nu, DS).s_total
+    backward = total_spectrum(baseline_params, nu[::-1], DS).s_total
+    assert np.array_equal(backward, forward[::-1])
+
+
 def test_default_grid_satisfies_margin(rng):
     for _ in range(20):
         p = random_valid_params(rng)
@@ -443,7 +468,11 @@ def _bare_emitter_grid(p):
 
 
 def _oracle_panels(p, nu_abs, phase_per_panel):
-    """Panel width h and panel count of one oracle pass, as _oracle_total sets them."""
+    """Panel width h of one oracle pass, as _oracle_total sets it, and a panel count.
+
+    The count reaches 38 e-folds of the slowest decay: the references below
+    stop there, where the oracle's sum to tau = infinity has a tail below rounding.
+    """
     dc = derive_couplings(p)
     mat = regression_matrix(p)
     tau_max = 38.0 / (0.5 * DS - min(np.linalg.eigvals(mat).real.max(), 0.0) * 0.5)
@@ -451,6 +480,61 @@ def _oracle_panels(p, nu_abs, phase_per_panel):
              + abs(dc.detuning) + 4.0 * abs(dc.g_plus) + 10.0 * DS)
     h = phase_per_panel / f_max
     return h, math.ceil(tau_max / h)
+
+
+def _criterion_8_sets():
+    """Criterion 8's six parameter sets, each with its 211-point grid."""
+    for detuning in (-3160.0, 0.0, 3160.0):
+        for gamma_ph in (0.0, 30.0):
+            p = SystemParams(eta=1.0, gamma_ph=gamma_ph).with_detuning(detuning)
+            lo = min(0.0, p.omega_c - p.omega21) - 1050.0
+            hi = max(0.0, p.omega_c - p.omega21) + 1050.0
+            yield p, np.linspace(lo, hi, 211)
+
+
+def _oracle_v(p, m):
+    """The oracle's correlator weights V = G N^T/pi, summed elementwise as it does."""
+    mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
+    g = collective_decay_matrix(p.gamma, p.kappa, p.eta, p.theta21, p.theta_c)
+    return (g[:, :, None] * mom).sum(axis=1) / math.pi
+
+
+def _resolvent_total(p, nu, v):
+    """Re sum_ab [-(M - ds/2 + i nu)^-1]_ab V_ab: the oracle's tau integral done exactly.
+
+    nu is relative to omega21; numpy inverts one 2x2 matrix per frequency.
+    """
+    a = regression_matrix(p) + (1j * (nu + p.omega21) - 0.5 * DS)[:, None, None] * np.eye(2)
+    return (-np.linalg.inv(a) * v).sum(axis=(1, 2)).real
+
+
+def test_oracle_against_exact_resolvent():
+    # both passes against their tau integral in closed form, with the
+    # oracle's own M and V, so only the Gauss rule on each panel and rounding
+    # are left.  Measured: 4.5e-14 to 2.1e-12 of the peak (the fine pass at
+    # detuning +3160, gamma_ph = 0); the bound leaves a factor 2.4
+    bare = SystemParams(g_abs=0.0, eta=0.0)
+    for p, nu in [*_criterion_8_sets(), (bare, _bare_emitter_grid(bare))]:
+        m = integrated_moments(p, source="ode")
+        ref = _resolvent_total(p, nu, _oracle_v(p, m))
+        for phase in (0.9, 0.45):
+            got = _oracle_total(p, nu + p.omega21, DS, m, phase)
+            assert np.abs(got - ref).max() <= 5e-12 * np.abs(ref).max()
+
+
+def test_total_spectrum_against_ode_moment_resolvent():
+    # the closed-form total against the same resolvent with ODE moments, on
+    # criterion 8's sets.  Measured: 1.4e-16 to 5.8e-16 of the peak; the bound
+    # leaves a factor 3.4.  On the cancellation set (eta = 1, gamma_ph = 0,
+    # detuning -3160) the two lie 5.2e-10 apart, with its own bound a factor
+    # 3.8 above: there V's terms cancel near the rate zero, so the resolvent
+    # (and the oracle) lie 5.2e-10 off a 50-digit total, while the total
+    # needs no moments and lies 2.8e-16 off it
+    cancellation = SystemParams(eta=1.0, gamma_ph=0.0).with_detuning(-3160.0)
+    for p, nu in _criterion_8_sets():
+        ref = _resolvent_total(p, nu, _oracle_v(p, integrated_moments(p, source="ode")))
+        bound = 2e-9 if p == cancellation else 2e-15
+        assert np.abs(total_spectrum(p, nu, DS).s_total - ref).max() <= bound * np.abs(ref).max()
 
 
 def test_oracle_bare_emitter_line():
@@ -481,9 +565,9 @@ def test_oracle_pinned_values():
     # reordering of the tau sum may move it only by rounding, which the 1e-3
     # bound against the closed form would not catch.  The third set is the
     # cancellation set of criterion 8 (eta = 1, gamma_ph = 0, detuning -3160):
-    # there the node weights cancel by about 1e7, and the oracle lies 2e-12 to
-    # 6e-12 of the peak off a long-double node sum, so a reordering may move it
-    # by that much
+    # there the node weights cancel by about 1e7, and the oracle lies 1.2e-13
+    # of the peak off a long-double panel sum (its coarse pass 5.0e-13), so a
+    # reordering may move it by that much
     cases = [
         (detuned(gamma_ph=30.0), np.linspace(-1050.0, 4210.0, 11), [
             6.290803707626204e-07, 8.203001480636119e-07, 5.243302003375694e-07,
@@ -507,8 +591,8 @@ def test_oracle_pinned_values():
 
 
 def test_oracle_total_matches_direct_node_sum():
-    # one pass of the factored tau sum against a sum over every node with its
-    # own matrix exponential, on a set where all four correlator kernels are
+    # one pass of the closed-form panel sum against a sum over every node with
+    # its own matrix exponential, on a set where all four correlator kernels are
     # non-zero and the panel count is not a multiple of the block length
     p = SystemParams(eta=0.6, gamma_ph=5.0, g_abs=25.0, gamma=2.0,
                      theta_c=0.7).with_detuning(50.0)
@@ -548,9 +632,7 @@ def test_oracle_against_long_double_panel_sum():
     x, w = spectra._gauss_legendre_10()
     off = 0.5 * h * (x + 1.0)
     exps = _expm_stack(regression_matrix(p) - 0.5 * DS * np.eye(2), np.append(h, off))
-    mom = np.array([[m.i_e, m.i_p], [np.conj(m.i_p), m.i_c]])
-    g = collective_decay_matrix(p.gamma, p.kappa, p.eta, p.theta21, p.theta_c)
-    v = (g[:, :, None] * mom).sum(axis=1) / math.pi
+    v = _oracle_v(p, m)
     ld, cld = np.longdouble, np.clongdouble
     powers, e = np.eye(2, dtype=cld)[None], exps[0].astype(cld)
     while len(powers) < n_pan:
@@ -594,7 +676,7 @@ def test_oracle_chunk_size_does_not_change_the_result(monkeypatch, case):
 def test_oracle_working_memory_is_bounded():
     # the phase tables live per chunk of frequencies: one call on
     # oracle-crosscheck's bare-emitter grid (about 2,400 points) peaks at
-    # about 0.5 MB, where one table over the whole grid takes 9.6 MB.  numpy
+    # about 0.29 MB, where one table over the whole grid takes 9.6 MB.  numpy
     # reports its buffers to tracemalloc, so the reading does not depend on
     # the allocator or on other processes
     p = SystemParams(g_abs=0.0, eta=0.0, gamma=1.579)
